@@ -10,7 +10,6 @@ robustness-of-magic classification, and the satisfiability-phase harness.
 
 __version__ = "0.1.0"
 
-from .paulis import PauliString, SignedPauli
 from .operators import (
     DenseOperator,
     FactoredState,
@@ -18,7 +17,6 @@ from .operators import (
     h_state,
     maximally_mixed,
     plus_state,
-    sample_pauli,
     stabilizer_norm,
     t_state,
     zero_state,

@@ -100,19 +100,6 @@ def compose(a: PTM, b: PTM) -> PTM:
     return PTM(a.matrix @ b.matrix, k_in=b.k_in, k_out=a.k_out)
 
 
-def apply_to_pauli(app: ChannelApplication, p):
-    """Pauli coefficient vector of Lambda(sigma_j): column j of the PTM.
-
-    j is the local index of p on app.qubits; the rest of p is untouched by
-    the channel. Sampling over this vector is operator_core's job.
-    """
-    from .operators import PauliCoeffs
-    from .paulis import pauli_index_on_subset
-
-    j = pauli_index_on_subset(p, app.qubits)
-    return PauliCoeffs(app.ptm.k_out, app.ptm.matrix[:, j].copy())
-
-
 # ---------------------------------------------------------------------------
 # library constructors
 #

@@ -31,6 +31,7 @@ from .circuit_io import (
     parse_channel,
 )
 from .exact import OracleTooLargeError, run_exact
+from .fanout import block_rng
 from .operators import DenseOperator, pauli_matrix
 from .propagation import BoundOverflowError, estimate, plan_samples
 
@@ -175,7 +176,7 @@ def _fig5_rows(samples: int, seed: int, workers: int):
 
 
 def _fig6_rows(samples: int, seed: int, workers: int):
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = block_rng(seed, 0)
     inst = qaoa.generate_instance(16, 20, rng)
     rows = []
     for gamma in np.linspace(0.0, math.pi / 4, 9):
@@ -218,7 +219,7 @@ def _cmd_qaoa(args) -> int:
         if args.n is None or args.m is None:
             raise _CliFailure(EXIT_VALIDATION, "validation",
                               "need --n and --m (or --instance FILE)")
-        rng = np.random.Generator(np.random.Philox(args.seed))
+        rng = block_rng(args.seed, 0)
         inst = qaoa.generate_instance(args.n, args.m, rng)
     if args.save_instance:
         with open(args.save_instance, "w") as fh:
@@ -299,7 +300,8 @@ def _cmd_norms(args) -> int:
 
 def _add_common(p, seed_required=True):
     p.add_argument("--seed", type=int, required=seed_required,
-                   help="RNG seed (results are deterministic per seed/workers)")
+                   help="RNG seed in [0, 2**64); results are deterministic per seed, "
+                        "whatever the worker count")
     p.add_argument("--workers", type=int, default=_default_workers(),
                    help="worker process count (default $PAULIPROP_WORKERS or 1)")
     p.add_argument("--output", help="write the JSON report here instead of stdout")

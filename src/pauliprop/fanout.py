@@ -1,0 +1,67 @@
+"""Seeded fan-out of independent draws over worker processes.
+
+fan_out cuts n_items into fixed-size blocks. Block b draws from a
+counter-based Philox generator keyed by the 128-bit value (seed, b) (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so its stream
+depends on nothing but the seed and its own index. Each worker runs one
+contiguous range of blocks and the results come back in block order, so a
+caller that reduces them in that order gets bit-identical results for any
+worker count.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+
+SEED_LIMIT = 1 << 64
+
+
+def check_seed(seed: int) -> int:
+    """Return seed if it fits one 64-bit key word, else raise ValueError."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
+def block_rng(seed: int, block: int) -> np.random.Generator:
+    """The generator of one block: Philox keyed by (seed, block)."""
+    # a list key would be cast through float64, merging nearby large seeds
+    key = np.array([check_seed(seed), block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def fan_out(fn, args: tuple, n_items: int, block_size: int, seed: int,
+            workers: int) -> list:
+    """[fn(*args, count, block_rng(seed, b)) for each block b], in block order.
+
+    Block b covers items [b * block_size, min((b + 1) * block_size, n_items)).
+    With workers == 1 or fewer than two blocks everything runs in this process
+    and no pool starts; otherwise fn and args are pickled, so fn must be a
+    module-level function.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    check_seed(seed)
+    n_blocks = -(-n_items // block_size)
+    if workers == 1 or n_blocks < 2:
+        return _run_blocks(fn, args, n_items, block_size, seed, range(n_blocks))
+    workers = min(workers, n_blocks)
+    ranges = [range(w * n_blocks // workers, (w + 1) * n_blocks // workers)
+              for w in range(workers)]
+    # the default (fork) start method lets workers inherit this process's
+    # caches, such as the stabilizer-state enumeration
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_blocks, fn, args, n_items, block_size, seed, r)
+                   for r in ranges]
+        return [out for f in futures for out in f.result()]
+
+
+def _run_blocks(fn, args: tuple, n_items: int, block_size: int, seed: int,
+                blocks: range) -> list:
+    out = []
+    for b in blocks:
+        count = min(block_size, n_items - b * block_size)
+        out.append(fn(*args, count, block_rng(seed, b)))
+    return out

@@ -32,6 +32,7 @@ from .channels import (
     ptm_from_choi,
 )
 from .exact import embed_operator
+from .fanout import fan_out
 from .operators import DenseOperator
 
 LP_TOL = 1e-6
@@ -223,18 +224,20 @@ class CensusResult:
     records: tuple  # (sample index, d_forward, d_adjoint, robustness, category)
 
 
-def _census_chunk(count: int, stream_seed: int, mode: str, offset: int) -> list:
-    rng = np.random.Generator(np.random.Philox(stream_seed))
+# samples per fan-out block: small, so that a few hundred samples still split
+# evenly over two workers
+CENSUS_BLOCK = 4
+
+
+def _census_block(mode: str, count: int, rng) -> list:
     sset = enumerate_stabilizer_states(2)
     records = []
-    for local in range(count):
+    for _ in range(count):
         rho = sample_hilbert_schmidt(2, rng)
         try:
-            rec = classify_channel(rho, mode, sset)
+            records.append(classify_channel(rho, mode, sset))
         except NotCompletelyPositiveError:
-            records.append((offset + local, None))
-            continue
-        records.append((offset + local, rec))
+            records.append(None)
     return records
 
 
@@ -243,12 +246,11 @@ def classification_census(n_samples: int, mode: str = "general", seed: int = 0,
     """Histogram over the eight categories for HS-random postselective channels."""
     if mode not in MODES:
         raise ValueError(f"unknown projection mode {mode!r}")
-    chunks = _partition(n_samples, workers)
-    raw = _run_chunks(_census_chunk, chunks, seed, mode, workers)
+    blocks = fan_out(_census_block, (mode,), n_samples, CENSUS_BLOCK, seed, workers)
     counts = {cat: 0 for cat in CHANNEL_CATEGORIES}
     invalid = 0
     records = []
-    for index, rec in raw:
+    for index, rec in enumerate(rec for block in blocks for rec in block):
         if rec is None:
             invalid += 1
             continue
@@ -257,51 +259,19 @@ def classification_census(n_samples: int, mode: str = "general", seed: int = 0,
     return CensusResult(mode, n_samples, seed, counts, invalid, tuple(records))
 
 
-def _state_census_chunk(count: int, stream_seed: int, n: int, offset: int) -> list:
-    rng = np.random.Generator(np.random.Philox(stream_seed))
+def _state_census_block(n: int, count: int, rng) -> list:
     sset = enumerate_stabilizer_states(n)
-    out = []
-    for local in range(count):
-        rho = sample_hilbert_schmidt(n, rng)
-        out.append((offset + local, classify_state(rho, sset)))
-    return out
+    return [classify_state(sample_hilbert_schmidt(n, rng), sset) for _ in range(count)]
 
 
 def state_census(n_samples: int, n: int = 2, seed: int = 0, workers: int = 1) -> dict:
     """Category counts for Hilbert-Schmidt random states (the fig2 dataset)."""
-    chunks = _partition(n_samples, workers)
-    raw = _run_chunks(_state_census_chunk, chunks, seed, n, workers)
+    blocks = fan_out(_state_census_block, (n,), n_samples, CENSUS_BLOCK, seed, workers)
     counts = {cat: 0 for cat in STATE_CATEGORIES}
-    for _, category in raw:
-        counts[category] += 1
+    for block in blocks:
+        for category in block:
+            counts[category] += 1
     return counts
-
-
-def _partition(n_samples: int, workers: int) -> list:
-    base, extra = divmod(n_samples, workers)
-    counts = [base + (1 if w < extra else 0) for w in range(workers)]
-    chunks = []
-    offset = 0
-    for w, count in enumerate(counts):
-        if count:
-            chunks.append((count, w, offset))
-        offset += count
-    return chunks
-
-
-def _run_chunks(fn, chunks, seed: int, arg, workers: int) -> list:
-    if workers == 1 or len(chunks) <= 1:
-        parts = [fn(count, seed ^ w, arg, offset) for count, w, offset in chunks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fn, count, seed ^ w, arg, offset)
-                for count, w, offset in chunks
-            ]
-            parts = [f.result() for f in futures]
-    return [item for part in parts for item in part]
 
 
 def csh_boundary_f(theta: float = np.pi / 4, f_low: float = 0.4, f_high: float = 1.0,

@@ -10,7 +10,7 @@ weighted by c = sign(Tr(sigma_i A)) * D(A). D is the stabilizer norm
 the L1 norm of the Pauli coefficient vector. E[c * sigma] = A.
 
 Local Pauli indices are base-4 with the factor's first qubit as the least
-significant digit, matching paulis.pauli_index_on_subset.
+significant digit; the digits are I=0, X=1, Y=2, Z=3.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache, cached_property
 
 import numpy as np
-
-from .paulis import PauliString, SignedPauli
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -61,17 +59,6 @@ def matrix_from_coeffs(coeffs: np.ndarray, k: int) -> np.ndarray:
     return np.tensordot(coeffs, pauli_basis(k), axes=1)
 
 
-@dataclass(frozen=True)
-class PauliCoeffs:
-    """Coefficient vector of a k-qubit Hermitian in the Pauli basis."""
-
-    k: int
-    coeffs: np.ndarray
-
-    def to_matrix(self) -> np.ndarray:
-        return matrix_from_coeffs(self.coeffs, self.k)
-
-
 class DenseOperator:
     """Hermitian matrix on k <= 3 qubits with cached Pauli data.
 
@@ -106,9 +93,6 @@ class DenseOperator:
         c.setflags(write=False)
         return c
 
-    def pauli_coeffs(self) -> PauliCoeffs:
-        return PauliCoeffs(self.k, self.coeffs)
-
     @cached_property
     def stabilizer_norm(self) -> float:
         return float(np.abs(self.coeffs).sum())
@@ -122,7 +106,8 @@ class DenseOperator:
 
     @cached_property
     def _sampler(self):
-        """(support indices, cumulative probabilities, signs); see sample_pauli."""
+        """(support indices, cumulative probabilities, signs) of the draw of
+        sigma_i with probability |coeffs[i]| / D; the engine's start sampler."""
         traces = self.trace_table
         support = np.flatnonzero(np.abs(traces) > ZERO_COEFF_TOL)
         if support.size == 0:
@@ -145,28 +130,6 @@ class DenseOperator:
 def stabilizer_norm(a: DenseOperator) -> float:
     """D(A) = 2^{-k} sum_sigma |Tr(sigma A)|."""
     return a.stabilizer_norm
-
-
-def sample_pauli(a: DenseOperator, rng: np.random.Generator) -> SignedPauli:
-    """One draw of (sigma, c) with sigma ~ |Tr(sigma A)|/(2^k D(A)), c = sign * D(A).
-
-    The returned Pauli lives on a k-qubit register (the operator's own qubits,
-    numbered 0..k-1). Raises on the zero operator.
-    """
-    support, cum, signs = a._sampler
-    if support.size == 0:
-        raise ValueError("cannot sample from the zero operator (D = 0)")
-    pick = int(np.searchsorted(cum, rng.random(), side="right"))
-    pick = min(pick, support.size - 1)  # guard the u ~ 1.0 edge
-    index = int(support[pick])
-    x = z = 0
-    for pos in range(a.k):
-        digit = (index >> (2 * pos)) & 3
-        x |= (digit in (1, 2)) << pos
-        z |= (digit in (2, 3)) << pos
-    return SignedPauli(
-        PauliString(a.k, x, z), float(signs[pick]) * a.stabilizer_norm
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,34 +187,6 @@ def stabilizer_norm_factored(s: FactoredState) -> float:
     out = 1.0
     for _, op in s.factors:
         out *= op.stabilizer_norm
-    return out
-
-
-def sample_pauli_factored(s: FactoredState, rng: np.random.Generator) -> SignedPauli:
-    """Per-factor independent draws; coefficients multiply, masks assemble."""
-    x = z = 0
-    coeff = 1.0
-    for qubits, op in s.factors:
-        local = sample_pauli(op, rng)
-        coeff *= local.coeff
-        for pos, q in enumerate(qubits):
-            x |= ((local.pauli.x_mask >> pos) & 1) << q
-            z |= ((local.pauli.z_mask >> pos) & 1) << q
-    return SignedPauli(PauliString(s.n, x, z), coeff)
-
-
-def trace_with_factored(p: PauliString, s: FactoredState) -> float:
-    """Unnormalized Tr(sigma A_1 (x) A_2 ...) = prod_f Tr(sigma|_f A_f)."""
-    if p.n != s.n:
-        raise ValueError(f"mismatched register sizes {p.n} != {s.n}")
-    out = 1.0
-    for qubits, op in s.factors:
-        index = 0
-        for pos, q in enumerate(qubits):
-            index += p.digit(q) << (2 * pos)
-        out *= op.trace_table[index]
-        if out == 0.0:
-            return 0.0
     return out
 
 

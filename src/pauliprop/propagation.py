@@ -16,24 +16,24 @@ kills the trajectory: its value is exactly 0.
 The walk is vectorized: a batch of trajectories advances together as uint64
 (x, z) mask arrays plus a float64 coefficient array, which is what makes
 desk-scale sample counts feasible in Python. Masks are single machine words,
-so the engine register cap is n <= 64 (PauliString itself is unbounded).
+so the engine register cap is n <= 64.
 
-Sampling streams: worker w draws from a counter-based Philox generator keyed
-by seed XOR w, with fixed per-worker sample counts, so a run is
-bit-reproducible for fixed (seed, workers, n_samples). Reproducibility
-across different worker counts is not promised.
+Sampling streams: the samples are cut into batches of BATCH_SIZE, and batch b
+draws from its own Philox generator keyed by (seed, b) (see fanout). Batch
+sums are added in batch order, so a run is bit-reproducible for fixed
+(seed, n_samples) whatever the worker count.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .channels import ChannelApplication, channel_norm, adjoint_norm
+from .fanout import fan_out
 from .operators import FactoredState, stabilizer_norm_factored
 
 ENGINE_MAX_QUBITS = 64
@@ -396,42 +396,6 @@ def _run_batch(compiled: _Compiled, count: int, rng) -> tuple:
     return float(values.sum()), float((values * values).sum())
 
 
-def _run_stream(compiled: _Compiled, count: int, stream_seed: int) -> tuple:
-    rng = np.random.Generator(np.random.Philox(stream_seed))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < count:
-        batch = min(BATCH_SIZE, count - done)
-        s, sq = _run_batch(compiled, batch, rng)
-        total += s
-        total_sq += sq
-        done += batch
-    return total, total_sq
-
-
-def schrodinger_sample(circuit: Circuit, rng) -> float:
-    """One forward draw of c_k * Tr(sigma_k E) (scalar convenience wrapper)."""
-    compiled = compile_circuit(circuit, "schrodinger")
-    return _single_sample(compiled, rng)
-
-
-def heisenberg_sample(circuit: Circuit, rng) -> float:
-    """One backward draw of c_1 * Tr(sigma_1 rho_0)."""
-    compiled = compile_circuit(circuit, "heisenberg")
-    return _single_sample(compiled, rng)
-
-
-def _single_sample(compiled: _Compiled, rng) -> float:
-    s, _ = _run_batch(compiled, 1, rng)
-    return s
-
-
-def _worker_counts(n_samples: int, workers: int) -> list:
-    base, extra = divmod(n_samples, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
 def estimate(
     circuit: Circuit,
     direction: str,
@@ -442,25 +406,17 @@ def estimate(
 ) -> EstimateReport:
     """Mean of n_samples draws with the Hoeffding epsilon at confidence 1-delta.
 
-    Deterministic partition: worker w runs a fixed count on stream seed XOR w.
+    The draws run in batches of BATCH_SIZE spread over `workers` processes;
+    the result does not depend on the worker count.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     t0 = time.perf_counter()
     report = cost_report(circuit, direction)
     compiled = compile_circuit(circuit, direction)
-    counts = _worker_counts(n_samples, workers)
-    jobs = [(count, seed ^ w) for w, count in enumerate(counts) if count > 0]
-    if workers == 1 or len(jobs) <= 1:
-        results = [_run_stream(compiled, count, s) for count, s in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_stream, compiled, count, s) for count, s in jobs]
-            results = [f.result() for f in futures]
+    results = fan_out(_run_batch, (compiled,), n_samples, BATCH_SIZE, seed, workers)
     total = sum(r[0] for r in results)
     total_sq = sum(r[1] for r in results)
     mean = total / n_samples

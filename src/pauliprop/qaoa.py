@@ -26,6 +26,7 @@ import numpy as np
 
 from .channels import ChannelApplication, make_unitary_ptm
 from .exact import run_exact
+from .fanout import SEED_LIMIT, check_seed, fan_out
 from .operators import DenseOperator, FactoredState, plus_state
 from .propagation import Circuit, estimate, hoeffding_epsilon
 
@@ -204,13 +205,15 @@ def heisenberg_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int
     combination of each term's own Hoeffding epsilon, a valid bound even when
     the relaxed degree cap makes the closed-form exponent optimistic.
     """
+    check_seed(seed)
     weights = term_weights(inst)
     total = 0.0
     eps = 0.0
     for term in range(inst.m):
         circ = build_term_circuit(inst, params, term, lightcone)
-        rep = estimate(circ, "heisenberg", n_samples, delta=delta,
-                       seed=seed + _TERM_SEED_STRIDE * (term + 1), workers=workers)
+        term_seed = (seed + _TERM_SEED_STRIDE * (term + 1)) % SEED_LIMIT
+        rep = estimate(circ, "heisenberg", n_samples, delta=delta, seed=term_seed,
+                       workers=workers)
         total += weights[term] * rep.mean
         eps += abs(weights[term]) * rep.epsilon
     return total, eps
@@ -247,28 +250,14 @@ def vdn_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
     Per-sample totals are asserted against m/2 * (|cos 2b| + |sin 2b|)^3, the
     triangle bound on the conjugated coefficients.
     """
-    if workers == 1:
-        total, count = _vdn_stream(inst, params, n_samples, seed)
-        return total / count
-    base, extra = divmod(n_samples, workers)
-    counts = [base + (1 if w < extra else 0) for w in range(workers)]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_vdn_stream, inst, params, cnt, seed ^ w)
-            for w, cnt in enumerate(counts) if cnt
-        ]
-        parts = [f.result() for f in futures]
-    return sum(p[0] for p in parts) / sum(p[1] for p in parts)
+    totals = fan_out(_vdn_block, (inst, params), n_samples, _VDN_BATCH, seed, workers)
+    return sum(totals) / n_samples
 
 
 _VDN_BATCH = 1 << 16
 
 
-def _vdn_stream(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
-                stream_seed: int):
-    rng = np.random.Generator(np.random.Philox(stream_seed))
+def _vdn_block(inst: E3Lin2Instance, params: QaoaParams, count: int, rng) -> float:
     masks = inst.triple_masks()  # (m, n) 0/1
     eq_signs = inst.signs()
     weights = term_weights(inst)
@@ -290,23 +279,17 @@ def _vdn_stream(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
             phase = len(y_cols) * math.pi / 2
             plan.append((weights[term] * coeff, masks[term], odd, phase))
 
-    total = 0.0
-    done = 0
-    while done < n_samples:
-        count = min(_VDN_BATCH, n_samples - done)
-        bits = rng.integers(0, 2, size=(count, inst.n), dtype=np.uint8)
-        eq_par = bits @ masks.T  # (count, m), parity mod 2 below
-        pm = 1.0 - 2.0 * (eq_par & 1)  # (-1)^{x . t_j}
-        values = np.zeros(count)
-        for coeff, z_mask, odd, phase in plan:
-            dc = -(pm[:, odd] * eq_signs[odd]).sum(axis=1)
-            z_pm = 1.0 - 2.0 * ((bits @ z_mask) & 1)
-            values += coeff * z_pm * np.cos(params.gamma * dc + phase)
-        if np.abs(values).max(initial=0.0) > bound:
-            raise AssertionError("per-sample value exceeded the triangle bound")
-        total += float(values.sum())
-        done += count
-    return total, n_samples
+    bits = rng.integers(0, 2, size=(count, inst.n), dtype=np.uint8)
+    eq_par = bits @ masks.T  # (count, m), parity mod 2 below
+    pm = 1.0 - 2.0 * (eq_par & 1)  # (-1)^{x . t_j}
+    values = np.zeros(count)
+    for coeff, z_mask, odd, phase in plan:
+        dc = -(pm[:, odd] * eq_signs[odd]).sum(axis=1)
+        z_pm = 1.0 - 2.0 * ((bits @ z_mask) & 1)
+        values += coeff * z_pm * np.cos(params.gamma * dc + phase)
+    if np.abs(values).max(initial=0.0) > bound:
+        raise AssertionError("per-sample value exceeded the triangle bound")
+    return float(values.sum())
 
 
 def run_experiment(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
@@ -318,7 +301,8 @@ def run_experiment(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
         inst, params, n_samples, delta=delta, seed=seed, workers=workers,
         lightcone=lightcone,
     )
-    c_vdn = vdn_estimate(inst, params, n_samples, seed=seed + 1, workers=workers)
+    c_vdn = vdn_estimate(inst, params, n_samples, seed=(seed + 1) % SEED_LIMIT,
+                         workers=workers)
     eps_h = epsilon_heis(inst.m, n_samples, delta, params.gamma)
     eps_n = epsilon_nest(inst.m, n_samples, delta)
     return {

@@ -26,7 +26,9 @@ from pauliprop.channels import (
     ptm_from_choi,
 )
 from pauliprop.exact import apply_kraus, kraus_to_ptm, run_exact
+from pauliprop.fanout import block_rng
 from pauliprop.magic import (
+    CENSUS_BLOCK,
     classification_census,
     classify_ptm,
     csh_boundary_f,
@@ -352,14 +354,15 @@ def test_acceptance_7_channel_census():
         invalid_total += res.invalid
         union |= {cat for cat, count in res.counts.items() if count}
 
-    # adjoint mirror over the same Philox stream the census consumed
-    rng = np.random.Generator(np.random.Philox(seed))
+    # adjoint mirror over the same per-block streams the census consumed
     sset = enumerate_stabilizer_states(2)
     mirror_counts = {cat: 0 for cat in _MIRROR}
-    for _ in range(n_samples):
-        rho = sample_hilbert_schmidt(2, rng)
-        rec = classify_ptm(adjoint(ptm_from_choi(rho.matrix)), sset)
-        mirror_counts[rec.category] += 1
+    for start in range(0, n_samples, CENSUS_BLOCK):
+        rng = block_rng(seed, start // CENSUS_BLOCK)
+        for _ in range(min(CENSUS_BLOCK, n_samples - start)):
+            rho = sample_hilbert_schmidt(2, rng)
+            rec = classify_ptm(adjoint(ptm_from_choi(rho.matrix)), sset)
+            mirror_counts[rec.category] += 1
     general = results["general"].counts
     mirror_ok = all(mirror_counts[_MIRROR[cat]] == general[cat] for cat in _MIRROR)
 

@@ -13,7 +13,6 @@ from pauliprop.channels import (
     adaptive_norms,
     adjoint,
     adjoint_norm,
-    apply_to_pauli,
     channel_norm,
     choi_from_ptm,
     choi_matrix,
@@ -32,7 +31,6 @@ from pauliprop.channels import (
 )
 from pauliprop.exact import kraus_to_ptm
 from pauliprop.operators import DenseOperator, h_state, t_state
-from pauliprop.paulis import PauliString
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 S = np.diag([1, 1j]).astype(complex)
@@ -233,14 +231,6 @@ def test_adjoint_is_transpose():
     p = make_rotation(1.1)
     np.testing.assert_allclose(adjoint(p).matrix, p.matrix.T)
     assert adjoint_norm(p) == channel_norm(adjoint(p))
-
-
-def test_apply_to_pauli_reads_columns():
-    app = ChannelApplication(make_clifford("h"), (1,))
-    out = apply_to_pauli(app, PauliString.from_string("IX"))
-    np.testing.assert_allclose(out.coeffs, [0, 0, 0, 1])  # X -> Z under H
-    out = apply_to_pauli(app, PauliString.from_string("IY"))
-    np.testing.assert_allclose(out.coeffs, [0, 0, -1, 0])
 
 
 def test_make_unitary_ptm_agrees_with_tables():

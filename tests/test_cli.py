@@ -96,6 +96,31 @@ def test_validation_failure_is_exit_3(tmp_path, capsys):
     assert code == 3  # neither --instance nor --n/--m
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ["census", "--samples", "20"],
+    ["figures", "--which", "fig2", "--samples", "20"],
+])
+def test_bad_worker_count_is_exit_3(tmp_path, capsys, command, workers):
+    out = tmp_path / "out.csv"
+    code = cli.main(command + ["--seed", "1", "--workers", workers, "--out", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert "workers" in err["error"]["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [str(-1), str(2**64)])
+def test_seed_out_of_range_is_exit_3(tmp_path, capsys, seed):
+    path = write_circuit(tmp_path, circuit_obj())
+    code = cli.main(["estimate", "--circuit", path, "--samples", "10", "--seed", seed])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert "seed" in err["error"]["message"]
+
+
 def test_bound_overflow_is_exit_4(tmp_path, capsys):
     obj = {
         "n": 1,

@@ -11,12 +11,9 @@ from pauliprop.operators import (
     coeffs_from_matrix,
     matrix_from_coeffs,
     pauli_matrix,
-    sample_pauli,
-    sample_pauli_factored,
     stabilizer_norm_factored,
-    trace_with_factored,
 )
-from pauliprop.paulis import PauliString
+from pauliprop.propagation import Circuit, estimate
 
 
 def random_hermitian(k, rng):
@@ -98,27 +95,31 @@ def test_trace_table_of_zero_state():
 
 
 def test_sampler_distribution_and_mean():
-    """sigma drawn with p = |Tr(sigma A)| / (2^k D); E[c 1{sigma=i}] = coeff_i."""
+    """sigma drawn with p = |Tr(sigma A)| / (2^k D); E[c 1{sigma=i}] = coeff_i.
+
+    With no channels and the observable sigma_i, a forward draw of sigma_j
+    scores c * Tr(sigma_j sigma_i) = sign_i * D * 2^k * [j == i], so the mean
+    is Tr(sigma_i A) and |mean| / (2^k D) is the hit frequency of i."""
     rng = np.random.default_rng(7)
-    op = random_state(1, rng)
     n = 40_000
-    hits = np.zeros(4)
-    signed = np.zeros(4)
-    for _ in range(n):
-        sp = sample_pauli(op, rng)
-        idx = sp.pauli.digit(0)
-        hits[idx] += 1
-        signed[idx] += sp.coeff
-    probs = np.abs(op.coeffs) / op.stabilizer_norm
-    np.testing.assert_allclose(hits / n, probs, atol=4 / math.sqrt(n))
-    np.testing.assert_allclose(signed / n, op.coeffs, atol=4 / math.sqrt(n))
+    for k in (1, 2):
+        op = random_state(k, rng)
+        state = FactoredState(k, ((tuple(range(k)), op),))
+        probs = np.abs(op.coeffs) / op.stabilizer_norm
+        for i in range(4**k):
+            obs = FactoredState(k, ((tuple(range(k)), DenseOperator(pauli_matrix(i, k))),))
+            rep = estimate(Circuit(k, state, (), obs), "schrodinger", n, seed=i)
+            hits = abs(rep.mean) / (2**k * op.stabilizer_norm)
+            assert abs(hits - probs[i]) < 4 / math.sqrt(n), (k, i)
+            assert abs(rep.mean / 2**k - op.coeffs[i]) < 4 / math.sqrt(n), (k, i)
 
 
 def test_sample_zero_operator_raises():
-    zero = DenseOperator(np.zeros((2, 2)))
-    rng = np.random.default_rng(0)
+    # a backward walk starts by sampling the observable
+    zero = FactoredState.of_qubit_states([DenseOperator(np.zeros((2, 2)))])
+    circ = Circuit(1, FactoredState.of_qubit_states([ops.zero_state()]), (), zero)
     with pytest.raises(ValueError, match="zero operator"):
-        sample_pauli(zero, rng)
+        estimate(circ, "heisenberg", 10)
 
 
 def test_factored_state_validation():
@@ -152,8 +153,8 @@ def test_dense_with_interleaved_factor():
     two = random_state(2, rng)
     one = random_state(1, rng)
     s = FactoredState(3, (((0, 2), two), ((1,), one)))
-    sig = PauliString.from_string("XZY")
-    got = trace_with_factored(sig, s)
+    # X on qubit 0, Z on qubit 1, Y on qubit 2: the (0, 2) factor sees X then Y
+    got = two.trace_table[1 + 4 * 2] * one.trace_table[3]
     from pauliprop.operators import pauli_basis
 
     want = np.trace(pauli_basis(3)[1 + 4 * 3 + 16 * 2] @ s.dense()).real
@@ -178,18 +179,15 @@ def test_norm_multiplicativity_factored():
 
 
 def test_factored_sampling_multiplies_coefficients():
-    rng = np.random.default_rng(5)
+    """Every forward draw from T (x) H weighs D(T) * D(H): against an
+    observable with |Tr(sigma E)| = 1 for every Pauli, each sample is
+    +-D(T) D(H), so the mean square equals (D(T) D(H))^2 exactly."""
     s = FactoredState.of_qubit_states([ops.t_state(), ops.h_state()])
     d = stabilizer_norm_factored(s)
-    for _ in range(200):
-        sp = sample_pauli_factored(s, rng)
-        assert abs(abs(sp.coeff) - d) < 1e-12
-        assert sp.pauli.n == 2
-
-
-def test_trace_with_factored_zero_short_circuit():
-    s = FactoredState.of_qubit_states([ops.zero_state(), ops.zero_state()])
-    assert trace_with_factored(PauliString.from_string("XZ"), s) == 0.0
-    assert trace_with_factored(PauliString.from_string("ZZ"), s) == 1.0
-    with pytest.raises(ValueError):
-        trace_with_factored(PauliString.identity(3), s)
+    flat = DenseOperator.from_coeffs([0.5, 0.5, 0.5, 0.5], 1)  # Tr(sigma_i E) = 1
+    n = 2000
+    rep = estimate(Circuit(2, s, (), FactoredState.of_qubit_states([flat, flat])),
+                   "schrodinger", n, seed=5)
+    mean_square = rep.sample_std**2 * (n - 1) / n + rep.mean**2
+    assert abs(mean_square - d * d) < 1e-9
+    assert rep.cost.total_bound == pytest.approx(d, abs=1e-12)

@@ -29,11 +29,9 @@ from pauliprop.propagation import (
     compile_circuit,
     cost_report,
     estimate,
-    heisenberg_sample,
     hoeffding_epsilon,
     observable_trace_bound,
     plan_samples,
-    schrodinger_sample,
 )
 
 
@@ -297,14 +295,31 @@ def test_estimate_validation():
         estimate(circ, "schrodinger", 10, workers=0)
 
 
-def test_single_sample_wrappers():
-    rng = np.random.Generator(np.random.Philox(9))
-    circ = bell_circuit(pauli_factor(2, {0: 3, 1: 3}))
-    assert heisenberg_sample(circ, rng) == 1.0
-    bound = cost_report(circ, "schrodinger").total_bound
-    for _ in range(20):
-        v = schrodinger_sample(circ, rng)
-        assert abs(v) <= bound + 1e-9
+def test_deep_wide_clifford_walk_returns_to_its_observable():
+    """A random Clifford circuit followed by its inverse maps a Z word back to
+    itself, so on |0...0> the exact value is 1, not 0."""
+    rng = np.random.default_rng(31)
+    n = 32
+    gates = []
+    for _ in range(300):
+        if rng.random() < 0.3:
+            pair = tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+            gates.append(("cnot" if rng.random() < 0.5 else "cz", pair))
+        else:
+            gates.append((("h", "s", "x", "y", "z")[int(rng.integers(5))],
+                          (int(rng.integers(n)),)))
+    inverse = []
+    for name, qubits in reversed(gates):
+        # S is the only gate here that is not its own inverse: S^dag = S^3
+        inverse += [(name, qubits)] * (3 if name == "s" else 1)
+    channels = [ChannelApplication(make_clifford(name), qubits)
+                for name, qubits in gates + inverse]
+    z_word = {q: 3 for q in range(n) if rng.random() < 0.5}
+    circ = Circuit(n, FactoredState.of_qubit_states([zero_state()] * n), channels,
+                   pauli_factor(n, z_word))
+    rep = estimate(circ, "heisenberg", 5000, seed=2)
+    assert rep.mean == 1.0
+    assert rep.sample_std == 0.0
 
 
 def test_report_serialization():
