@@ -5,11 +5,13 @@ import pytest
 
 from pauliprop.channels import (
     ChannelApplication,
+    compose,
     make_clifford,
     make_depolarizing,
     make_measure_z,
     make_reset,
     make_rotation,
+    make_unitary_ptm,
 )
 from pauliprop.exact import run_exact
 from pauliprop.operators import (
@@ -23,6 +25,7 @@ from pauliprop.operators import (
     zero_state,
 )
 from pauliprop.propagation import (
+    BATCH_SIZE,
     BoundOverflowError,
     Circuit,
     ENGINE_MAX_QUBITS,
@@ -33,6 +36,7 @@ from pauliprop.propagation import (
     observable_trace_bound,
     plan_samples,
 )
+from pauliprop.qaoa import _zzz_rotation
 
 
 def pauli_factor(n, index_by_qubit):
@@ -328,3 +332,52 @@ def test_report_serialization():
     assert d["n_samples"] == 50
     assert d["cost"]["total_bound"] == 1.0
     assert set(d) >= {"mean", "epsilon", "delta", "seed", "direction", "workers"}
+
+
+def golden_circuit(kind):
+    """Four qubits, one step kind. The input has an entangled factor on the
+    non-adjacent pair (0, 2) and the observable a factor on (3, 1), so both
+    directions finish through a multi-qubit factor as well as 1-qubit ones."""
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    pair = DenseOperator(0.7 * bell + 0.3 * np.kron(t_state().matrix, h_state().matrix))
+    inp = FactoredState(4, [((0, 2), pair), ((1,), t_state()), ((3,), h_state())])
+    coeffs = np.zeros(16)
+    coeffs[[0, 5, 7, 9, 15]] = [0.2, 0.5, -0.4, 0.3, -0.25]
+    obs = FactoredState(4, [((3, 1), DenseOperator.from_coeffs(coeffs, 2)),
+                            ((0,), DenseOperator.from_coeffs([0.1, 0.5, 0.5, 0.3], 1)),
+                            ((2,), DenseOperator(pauli_matrix(3, 1)))])
+    noisy_t = compose(make_depolarizing(0.8), make_rotation(math.pi / 4))
+    steps = {
+        "h": [(make_clifford("h"), (q,)) for q in (0, 2, 1, 3)],
+        "cnot": [(make_clifford("cnot"), p) for p in ((0, 1), (2, 3), (3, 0), (1, 2))],
+        "noisy_t": [(noisy_t, (q,)) for q in (0, 2, 1, 3)],
+        "zzz": [(make_unitary_ptm(_zzz_rotation(math.pi / 8)), t)
+                for t in ((0, 1, 2), (3, 1, 0))],
+        "dead": [(make_rotation(0.9), (0,)), (make_measure_z(), (0,)),
+                 (make_reset(t_state()), (1,)), (make_rotation(0.4), (2,)),
+                 (make_measure_z(), (2,))],
+    }[kind]
+    return Circuit(4, inp, [ChannelApplication(p, q) for p, q in steps], obs)
+
+
+# seeded (mean, sample_std) over two batches, pinned from the engine that
+# decoded base-4 digits per step; any engine rewrite must reproduce them exactly
+GOLDEN = {
+    ("h", "schrodinger"): (-0.027972644088503796, 0.6027519574569821),
+    ("h", "heisenberg"): (-0.02695808571209921, 0.42634660925644857),
+    ("cnot", "schrodinger"): (-0.04663243523717131, 0.8269224197310622),
+    ("cnot", "heisenberg"): (-0.046320516596515676, 0.3845372181495454),
+    ("noisy_t", "schrodinger"): (0.04079590705036786, 0.40544403254570377),
+    ("noisy_t", "heisenberg"): (0.039159476736156724, 0.2462092142864834),
+    ("zzz", "schrodinger"): (0.10491105270668699, 1.0038485970829318),
+    ("zzz", "heisenberg"): (0.09812690322315959, 0.5778464820490395),
+    ("dead", "schrodinger"): (0.0857726913756742, 1.0797811107053576),
+    ("dead", "heisenberg"): (0.08395694999999999, 0.4037462869193797),
+}
+
+
+@pytest.mark.parametrize("kind, direction", sorted(GOLDEN))
+def test_golden_seeded_estimates(kind, direction):
+    rep = estimate(golden_circuit(kind), direction, BATCH_SIZE + 4_464, seed=11)
+    assert (rep.mean, rep.sample_std) == GOLDEN[kind, direction]
