@@ -43,6 +43,8 @@ def fan_out(fn, args: tuple, n_items: int, block_size: int, seed: int,
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if n_items < 0:
+        raise ValueError(f"sample count must be at least 0, got {n_items}")
     check_seed(seed)
     n_blocks = -(-n_items // block_size)
     if workers == 1 or n_blocks < 2:

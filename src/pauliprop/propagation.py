@@ -18,6 +18,21 @@ The walk is vectorized: a batch of trajectories advances together as uint64
 desk-scale sample counts feasible in Python. Masks are single machine words,
 so the engine register cap is n <= 64.
 
+Compiled steps are tables indexed by the engine's own bit code, in the
+symplectic (x, z) idiom of CHP (Aaronson & Gottesman, quant-ph/0406196) and
+Stim (Gidney, arXiv:2103.02202). A step on qubits (q_0, ..., q_{k-1}) reads
+the local code c = xbits | zbits << k of each lane with a few shifts, masks and
+ORs, and stores flat tables mult, dx and dz: the signed multiplier and the
+register masks of the x and z bits the step flips. A deterministic step
+(every column has at most one output) is then
+
+    coeff *= mult[c];  x ^= dx[c];  z ^= dz[c]
+
+and a stochastic step with at most m outputs per column draws u ~ U[0, 1),
+takes slot = #{t : u >= cum[t, c]} and indexes the same tables at c * m + slot.
+The finish contraction gathers codes the same way, into trace tables of its
+factors permuted into code order.
+
 Sampling streams: the samples are cut into batches of BATCH_SIZE, and batch b
 draws from its own Philox generator keyed by (seed, b) (see fanout). Batch
 sums are added in batch order, so a run is bit-reproducible for fixed
@@ -148,11 +163,71 @@ def plan_samples(circuit: Circuit, direction: str, epsilon_target: float, delta:
 
 
 # ---------------------------------------------------------------------------
-# compiled form of a circuit: plain arrays the batch loop can chew on
+# compiled form of a circuit: flat tables indexed by the engine's own bit code
+#
+# A step or finish factor on qubits (q_0, ..., q_{k-1}) reads the local code
+# c = xbits | zbits << k of a lane, where bit pos of xbits (zbits) is bit q_pos
+# of the lane's x (z) mask. A PTM index instead has one base-4 digit per qubit
+# (I, X, Y, Z = 0..3, first qubit least significant); the tables below are
+# permuted into code order once, at compile time.
 
-_XBIT = np.array([0, 1, 1, 0], dtype=np.uint64)
-_ZBIT = np.array([0, 0, 1, 1], dtype=np.uint64)
 _ENTRY_TOL = 1e-12
+
+
+def _local_bits(k: int) -> tuple:
+    """(xbits, zbits) of every k-qubit PTM index, as int64 arrays."""
+    index = np.arange(4**k)
+    xbits = np.zeros(4**k, dtype=np.int64)
+    zbits = np.zeros(4**k, dtype=np.int64)
+    for pos in range(k):
+        digit = (index >> (2 * pos)) & 3
+        xbits |= ((digit ^ (digit >> 1)) & 1) << pos
+        zbits |= (digit >> 1) << pos
+    return xbits, zbits
+
+
+def _code_order(k: int) -> np.ndarray:
+    """order[c] = the PTM index whose local code is c."""
+    xbits, zbits = _local_bits(k)
+    return np.argsort(xbits | (zbits << k))
+
+
+def _spread(bits: np.ndarray, qubits) -> np.ndarray:
+    """Register masks (uint64) that put bit pos of `bits` on qubit qubits[pos]."""
+    out = np.zeros(bits.shape, dtype=np.uint64)
+    for pos, q in enumerate(qubits):
+        out |= ((bits >> pos) & 1).astype(np.uint64) << np.uint64(q)
+    return out
+
+
+def _gather_plan(qubits) -> tuple:
+    """(source, shift, mask) terms whose OR is the local code: source 0 reads
+    x and 1 reads z; qubits at the same distance from their code bit share
+    one shift."""
+    k = len(qubits)
+    terms = {}
+    for pos, q in enumerate(qubits):
+        for source, bit in ((0, pos), (1, k + pos)):
+            key = (source, q - bit)
+            terms[key] = terms.get(key, 0) | (1 << bit)
+    return tuple((source, shift, mask) for (source, shift), mask in terms.items())
+
+
+def _gather_code(words: tuple, plan: tuple, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Local codes of a batch into `out`; words = (x, z) viewed as int64."""
+    for i, (source, shift, mask) in enumerate(plan):
+        dst = out if i == 0 else tmp
+        if shift > 0:
+            np.right_shift(words[source], shift, out=dst)
+            np.bitwise_and(dst, mask, out=dst)
+        else:
+            # mask first, so that no set bit is shifted past the sign bit
+            np.bitwise_and(words[source], mask >> -shift, out=dst)
+            if shift:
+                np.left_shift(dst, -shift, out=dst)
+        if i:
+            np.bitwise_or(out, tmp, out=out)
+    return out
 
 
 @dataclass
@@ -175,34 +250,25 @@ class _StartPlan:
 
 @dataclass
 class _Step:
+    """One channel step. Entry c * m + slot holds the multiplier and the XOR
+    deltas of output `slot` of the column with code c; m = 1 for a
+    deterministic step, which then draws nothing."""
     qubits: tuple
-    deterministic: bool
-    out_det: np.ndarray | None   # (4^k,) output index per column
-    mult_det: np.ndarray | None  # (4^k,) signed multiplier per column
-    cum: np.ndarray | None       # (4^k, m) per-column cumulative probabilities
-    out: np.ndarray | None       # (4^k, m) output indices
-    val: np.ndarray | None       # (4^k, m) sign * column L1 norm
+    gather: tuple
+    m: int
+    cum: np.ndarray   # (m - 1, 4^k): P(slot <= t) for column c at [t, c]
+    mult: np.ndarray  # (4^k * m,) the entry, or sign * column L1 norm if m > 1
+    dx: np.ndarray    # (4^k * m,) uint64 register masks of the x bits to flip
+    dz: np.ndarray
+    flips_x: bool     # False when dx is all zero (z-only gates such as S, CZ)
+    flips_z: bool
+    kills: bool       # some column is dead, so a batch can die here
 
 
 @dataclass
 class _FinishFactor:
-    qubits: tuple
-    table: np.ndarray  # (4^k,) unnormalized traces Tr(sigma_i A)
-
-
-@dataclass
-class _FinishBlock:
-    # product table over a run of consecutive qubits, index = xbits | zbits << width
-    shift: np.uint64
-    mask: np.uint64
-    width: np.uint64
-    table: np.ndarray
-
-
-@dataclass
-class _FinishPlan:
-    blocks: list
-    others: list
+    gather: tuple
+    table: np.ndarray  # unnormalized traces Tr(sigma A) in code order
 
 
 _FINISH_BLOCK_QUBITS = 8
@@ -217,13 +283,9 @@ def _compile_start(state: FactoredState) -> _StartPlan:
         support, cum, signs = op._sampler
         if support.size == 0:
             raise ValueError(f"zero operator on qubits {qubits} (D = 0)")
-        x_contrib = np.zeros(support.size, dtype=np.uint64)
-        z_contrib = np.zeros(support.size, dtype=np.uint64)
-        for row, index in enumerate(support):
-            for pos, q in enumerate(qubits):
-                digit = (int(index) >> (2 * pos)) & 3
-                x_contrib[row] |= np.uint64(int(_XBIT[digit]) << q)
-                z_contrib[row] |= np.uint64(int(_ZBIT[digit]) << q)
+        xbits, zbits = _local_bits(len(qubits))
+        x_contrib = _spread(xbits[support], qubits)
+        z_contrib = _spread(zbits[support], qubits)
         if support.size == 1:
             const_x |= int(x_contrib[0])
             const_z |= int(z_contrib[0])
@@ -236,67 +298,85 @@ def _compile_start(state: FactoredState) -> _StartPlan:
 
 
 def _compile_steps(circuit: Circuit, direction: str) -> list:
+    # circuits repeat a few gates: tabulate each distinct PTM once, then place
+    # its tables on the qubits of every application
+    tables = {}
     steps = []
     apps = circuit.channels if direction == "schrodinger" else tuple(reversed(circuit.channels))
     for app in apps:
-        r = app.ptm.matrix if direction == "schrodinger" else app.ptm.matrix.T
-        steps.append(_compile_step(r, app.qubits))
+        if app.ptm not in tables:
+            r = app.ptm.matrix if direction == "schrodinger" else app.ptm.matrix.T
+            tables[app.ptm] = _tabulate(r)
+        steps.append(_place(tables[app.ptm], app.qubits))
     return steps
 
 
-def _compile_step(r: np.ndarray, qubits) -> _Step:
+def _tabulate(r: np.ndarray) -> tuple:
+    """(m, cum, mult, local x flips, local z flips) of a PTM, in code order."""
     size = r.shape[1]
-    colnorm = np.abs(r).sum(axis=0)
-    supports = [np.flatnonzero(np.abs(r[:, j]) > _ENTRY_TOL) for j in range(size)]
-    if all(len(s) <= 1 for s in supports):
-        out_det = np.zeros(size, dtype=np.intp)
-        mult_det = np.zeros(size)
-        for j, s in enumerate(supports):
-            if len(s) == 1:
-                out_det[j] = s[0]
-                mult_det[j] = r[s[0], j]
-        return _Step(tuple(qubits), True, out_det, mult_det, None, None, None)
-    m = max(len(s) for s in supports)
-    cum = np.ones((size, m))
-    out = np.zeros((size, m), dtype=np.intp)
-    val = np.zeros((size, m))
-    for j, s in enumerate(supports):
+    k = (size.bit_length() - 1) // 2
+    # columns in code order; each column keeps its outputs in PTM index
+    # order, so a draw u picks the same output as in PTM order. The norms are
+    # summed before the permutation: numpy's summation order follows layout.
+    order = _code_order(k)
+    colnorm = np.abs(r).sum(axis=0)[order]
+    r = r[:, order]
+    supports = [np.flatnonzero(np.abs(r[:, c]) > _ENTRY_TOL) for c in range(size)]
+    m = max(1, max(len(s) for s in supports))
+    cum = np.ones((m - 1, size))
+    out = np.zeros((size, m), dtype=np.intp)  # dead columns go to the identity
+    mult = np.zeros((size, m))
+    for c, s in enumerate(supports):
         if len(s) == 0:
-            continue  # dead column: val stays 0, any draw kills the lane
-        weights = np.abs(r[s, j])
-        cum[j, : len(s)] = np.cumsum(weights) / weights.sum()
-        cum[j, len(s):] = 1.0
-        out[j, : len(s)] = s
-        out[j, len(s):] = s[-1]
-        signed = np.sign(r[s, j]) * colnorm[j]
-        val[j, : len(s)] = signed
-        val[j, len(s):] = signed[-1]
-    return _Step(tuple(qubits), False, None, None, cum, out, val)
+            continue  # dead column: mult stays 0, any draw kills the lane
+        if m == 1:
+            mult[c, 0] = r[s[0], c]
+        else:
+            weights = np.abs(r[s, c])
+            cum[: len(s) - 1, c] = (np.cumsum(weights) / weights.sum())[:-1]
+            mult[c, : len(s)] = np.sign(r[s, c]) * colnorm[c]
+            mult[c, len(s):] = mult[c, len(s) - 1]
+        out[c, : len(s)] = s
+        out[c, len(s):] = s[-1]
+    xbits, zbits = _local_bits(k)
+    code_in = np.arange(size)[:, None]
+    flip_x = (xbits[out] ^ (code_in & ((1 << k) - 1))).ravel()
+    flip_z = (zbits[out] ^ (code_in >> k)).ravel()
+    return m, cum, mult.ravel(), flip_x, flip_z
 
 
-def _finish_block(qubits: list, tables: list) -> _FinishBlock:
+def _place(table: tuple, qubits) -> _Step:
+    m, cum, mult, flip_x, flip_z = table
+    dx = _spread(flip_x, qubits)
+    dz = _spread(flip_z, qubits)
+    return _Step(tuple(qubits), _gather_plan(qubits), m, cum, mult, dx, dz,
+                 bool(dx.any()), bool(dz.any()), not mult.all())
+
+
+def _finish_block(qubits: list, tables: list) -> _FinishFactor:
+    """Product of 1-qubit trace tables over a run of qubits, in code order."""
     b = len(qubits)
-    idx = np.arange(1 << (2 * b))
-    table = np.ones(idx.size)
+    table = np.ones(())
     for pos, tbl in enumerate(tables):
-        xb = (idx >> pos) & 1
-        zb = (idx >> (b + pos)) & 1
-        table *= tbl[xb + 3 * zb - 2 * (xb & zb)]
-    return _FinishBlock(
-        np.uint64(qubits[0]), np.uint64((1 << b) - 1), np.uint64(b), table
-    )
+        # axis b - 1 - pos is the z bit of this qubit, axis 2b - 1 - pos its x bit
+        shape = [1] * (2 * b)
+        shape[b - 1 - pos] = shape[2 * b - 1 - pos] = 2
+        table = table * tbl[[[0, 1], [3, 2]]].reshape(shape)
+    return _FinishFactor(_gather_plan(qubits), table.ravel())
 
 
-def _compile_finish(state: FactoredState) -> _FinishPlan:
+def _compile_finish(state: FactoredState) -> list:
+    """Finish factors: fused runs of 1-qubit factors, then the others."""
     singles = {}
     others = []
     for qubits, op in state.factors:
         if len(qubits) == 1:
             singles[qubits[0]] = op.trace_table
         else:
-            others.append(_FinishFactor(qubits, op.trace_table))
-    # fuse runs of consecutive qubits into one table so the hot loop does a
-    # single shift-and-gather per block instead of per-qubit index math
+            others.append(_FinishFactor(_gather_plan(qubits),
+                                        op.trace_table[_code_order(len(qubits))]))
+    # fuse runs of consecutive qubits into one table, so a run of up to
+    # _FINISH_BLOCK_QUBITS qubits costs one code gather of two shifts
     blocks = []
     run_qubits, run_tables = [], []
     for q in sorted(singles):
@@ -307,7 +387,7 @@ def _compile_finish(state: FactoredState) -> _FinishPlan:
         run_tables.append(singles[q])
     if run_qubits:
         blocks.append(_finish_block(run_qubits, run_tables))
-    return _FinishPlan(blocks, others)
+    return blocks + others
 
 
 @dataclass
@@ -315,7 +395,7 @@ class _Compiled:
     n: int
     start: _StartPlan
     steps: list
-    finish: _FinishPlan
+    finish: list
     total_bound: float
 
 
@@ -336,29 +416,6 @@ def compile_circuit(circuit: Circuit, direction: str) -> "_Compiled":
     )
 
 
-def _local_index(x, z, qubits):
-    j = None
-    for pos, q in enumerate(qubits):
-        shift = np.uint64(q)
-        xb = (x >> shift) & np.uint64(1)
-        zb = (z >> shift) & np.uint64(1)
-        d = xb + np.uint64(3) * zb - np.uint64(2) * (xb * zb)
-        term = d * np.uint64(4**pos)
-        j = term if j is None else j + term
-    return j.astype(np.intp)
-
-
-def _write_back(x, z, i, qubits):
-    for pos, q in enumerate(qubits):
-        d = (i >> (2 * pos)) & 3
-        keep = np.uint64(((1 << 64) - 1) ^ (1 << q))
-        shift = np.uint64(q)
-        x &= keep
-        x |= _XBIT[d] << shift
-        z &= keep
-        z |= _ZBIT[d] << shift
-
-
 def _run_batch(compiled: _Compiled, count: int, rng) -> tuple:
     plan = compiled.start
     x = np.full(count, plan.const_x, dtype=np.uint64)
@@ -370,30 +427,43 @@ def _run_batch(compiled: _Compiled, count: int, rng) -> tuple:
         coeff *= f.values[idx]
         x |= f.x_contrib[idx]
         z |= f.z_contrib[idx]
+    # scratch buffers reused by every step. The gathers pass mode="wrap"
+    # because mode="raise" copies through a buffer; every code is in range.
+    words = (x.view(np.int64), z.view(np.int64))
+    code = np.empty(count, dtype=np.intp)
+    index = np.empty(count, dtype=np.intp)
+    factor = np.empty(count)
+    delta = np.empty(count, dtype=np.uint64)
+    u = np.empty(count)
+    below = np.empty(count, dtype=bool)
     for st in compiled.steps:
-        j = _local_index(x, z, st.qubits)
-        if st.deterministic:
-            coeff *= st.mult_det[j]
-            i = st.out_det[j]
-        else:
-            slot = (rng.random(count)[:, None] >= st.cum[j]).sum(axis=1)
-            np.minimum(slot, st.cum.shape[1] - 1, out=slot)
-            coeff *= st.val[j, slot]
-            i = st.out[j, slot]
-        _write_back(x, z, i, st.qubits)
-        if not coeff.any():
+        _gather_code(words, st.gather, code, index)
+        if st.m > 1:
+            # slot = #{t : u >= cum[t, c]}, the inverse-CDF draw of the column
+            rng.random(count, out=u)
+            np.multiply(code, st.m, out=index)
+            for row in st.cum:
+                np.take(row, code, out=factor, mode="wrap")
+                np.greater_equal(u, factor, out=below)
+                np.add(index, below, out=index)
+            code, index = index, code  # the tables are read at c * m + slot
+        np.take(st.mult, code, out=factor, mode="wrap")
+        coeff *= factor
+        if st.flips_x:
+            np.take(st.dx, code, out=delta, mode="wrap")
+            x ^= delta
+        if st.flips_z:
+            np.take(st.dz, code, out=delta, mode="wrap")
+            z ^= delta
+        if st.kills and not coeff.any():
             return 0.0, 0.0
-    values = coeff
-    fin = compiled.finish
-    for blk in fin.blocks:
-        j = ((x >> blk.shift) & blk.mask) | (((z >> blk.shift) & blk.mask) << blk.width)
-        values = values * blk.table[j.astype(np.intp)]
-    for f in fin.others:
-        values = values * f.table[_local_index(x, z, f.qubits)]
+    for f in compiled.finish:
+        np.take(f.table, _gather_code(words, f.gather, code, index), out=factor, mode="wrap")
+        coeff *= factor
     if __debug__:
         limit = compiled.total_bound * (1 + 1e-9) + 1e-12
-        assert float(np.abs(values).max(initial=0.0)) <= limit
-    return float(values.sum()), float((values * values).sum())
+        assert float(np.abs(coeff).max(initial=0.0)) <= limit
+    return float(coeff.sum()), float((coeff * coeff).sum())
 
 
 def estimate(

@@ -17,6 +17,7 @@ on an odd number of qubits. Its per-sample cost is independent of gamma.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -139,6 +140,18 @@ def _x_rotation(beta: float) -> np.ndarray:
     ])
 
 
+# a sweep visits few distinct angles, so each rotation PTM is built (and
+# checked for complete positivity) once per angle, not once per term
+@functools.lru_cache(maxsize=256)
+def _zzz_rotation_ptm(theta: float):
+    return make_unitary_ptm(_zzz_rotation(theta))
+
+
+@functools.lru_cache(maxsize=256)
+def _mixer_ptm(beta: float):
+    return make_unitary_ptm(_x_rotation(beta))
+
+
 def overlapping_equations(inst: E3Lin2Instance, term: int) -> list:
     support = set(inst.equations[term][:3])
     return [
@@ -157,16 +170,13 @@ def build_term_circuit(inst: E3Lin2Instance, params: QaoaParams, term: int,
     rest changes nothing but the walk length.
     """
     a, b, c, _ = inst.equations[term]
-    rot_cache = {}
     channels = []
     included = overlapping_equations(inst, term) if lightcone else range(inst.m)
     for j in included:
         qa, qb, qc, d = inst.equations[j]
         theta = params.gamma * (1.0 - 2.0 * d)
-        if theta not in rot_cache:
-            rot_cache[theta] = make_unitary_ptm(_zzz_rotation(theta))
-        channels.append(ChannelApplication(rot_cache[theta], (qa, qb, qc)))
-    mixer = make_unitary_ptm(_x_rotation(params.beta))
+        channels.append(ChannelApplication(_zzz_rotation_ptm(theta), (qa, qb, qc)))
+    mixer = _mixer_ptm(params.beta)
     mixer_qubits = (a, b, c) if lightcone else range(inst.n)
     for q in mixer_qubits:
         channels.append(ChannelApplication(mixer, (q,)))
@@ -193,7 +203,10 @@ def epsilon_nest(m: int, n_samples: int, delta: float) -> float:
     return m / math.sqrt(n_samples) * math.sqrt(math.log(2 / delta))
 
 
-_TERM_SEED_STRIDE = 0x9E3779B9
+def _term_seed(seed: int, term: int) -> int:
+    """Seed of one term's estimate, hashed from the pair (seed, term): no
+    shift of the base seed maps one run's term streams onto another's."""
+    return int(np.random.SeedSequence([seed, term]).generate_state(1, np.uint64)[0])
 
 
 def heisenberg_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
@@ -211,9 +224,8 @@ def heisenberg_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int
     eps = 0.0
     for term in range(inst.m):
         circ = build_term_circuit(inst, params, term, lightcone)
-        term_seed = (seed + _TERM_SEED_STRIDE * (term + 1)) % SEED_LIMIT
-        rep = estimate(circ, "heisenberg", n_samples, delta=delta, seed=term_seed,
-                       workers=workers)
+        rep = estimate(circ, "heisenberg", n_samples, delta=delta,
+                       seed=_term_seed(seed, term), workers=workers)
         total += weights[term] * rep.mean
         eps += abs(weights[term]) * rep.epsilon
     return total, eps

@@ -6,6 +6,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from pauliprop.channels import (
     PTM,
@@ -233,6 +234,7 @@ def _random_mixed_circuit(n: int, rng: np.random.Generator):
     return circuit, kinds
 
 
+@pytest.mark.slow
 def test_acceptance_4_estimator_oracle_equivalence():
     """100 random mixed-channel circuits, both directions, sample counts
     planned for epsilon = delta = 0.05; at least 90 per direction must land
@@ -284,6 +286,7 @@ def _random_clifford_circuit(n: int, k: int, rng: np.random.Generator) -> Circui
     return Circuit(n, inputs, channels, observable)
 
 
+@pytest.mark.slow
 def test_acceptance_5_clifford_fast_path():
     """Clifford walks are deterministic (zero sample variance) and the
     per-sample cost grows linearly with gate count."""
@@ -311,6 +314,7 @@ def test_acceptance_5_clifford_fast_path():
                     f"{base_wall:.2f}s, depth-scaling exponent {slope:.3f}")
 
 
+@pytest.mark.slow
 def test_acceptance_6_state_census():
     """Two-qubit Hilbert-Schmidt census: stabilizer mixtures are rare while
     mixtures plus hyper-octahedral states cover more than half."""
@@ -336,6 +340,7 @@ _MIRROR = {"M": "M", "C": "C", "S": "H", "H": "S",
            "CS": "CH", "CH": "CS", "SH": "SH", "CSH": "CSH"}
 
 
+@pytest.mark.slow
 def test_acceptance_7_channel_census():
     """One stream of 1e4 sampled Choi states, classified under all four
     projection modes: together the modes realize all eight categories, and
@@ -372,6 +377,7 @@ def test_acceptance_7_channel_census():
                     f"{mirror_counts['H']}, invalid {invalid_total}")
 
 
+@pytest.mark.slow
 def test_acceptance_8_qaoa_cross_validation():
     """Heisenberg and nested-expectation estimators agree within their bounds
     on desk-scale instances, match the dense oracle where one exists, and the

@@ -111,6 +111,20 @@ def test_bad_worker_count_is_exit_3(tmp_path, capsys, command, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["census", "--samples", "-3"],
+    ["figures", "--which", "fig2", "--samples", "-5"],
+])
+def test_negative_sample_count_is_exit_3(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    code = cli.main(command + ["--seed", "1", "--out", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert "sample count" in err["error"]["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [str(-1), str(2**64)])
 def test_seed_out_of_range_is_exit_3(tmp_path, capsys, seed):
     path = write_circuit(tmp_path, circuit_obj())

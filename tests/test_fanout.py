@@ -48,6 +48,13 @@ def test_fan_out_rejects_bad_workers_and_seeds(kwargs):
         fan_out(_draws, (), 10, 4, args["seed"], args["workers"])
 
 
+def test_fan_out_rejects_negative_counts():
+    # -(-n // block) is 0 for a small negative n: unchecked, it would run
+    # no block and let the caller report empty counts
+    with pytest.raises(ValueError, match="sample count"):
+        fan_out(_draws, (), -3, 4, 0, 1)
+
+
 def test_largest_seed_is_accepted():
     assert fan_out(_draws, (), 1, 4, 2**64 - 1, 1)[0].shape == (1,)
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from pauliprop.channels import (
+    CLIFFORD_NAMES,
     ChannelApplication,
     compose,
+    make_adaptive,
     make_clifford,
     make_depolarizing,
     make_measure_z,
@@ -334,6 +336,12 @@ def test_report_serialization():
     assert set(d) >= {"mean", "epsilon", "delta", "seed", "direction", "workers"}
 
 
+def dense_u3():
+    """A fixed random 3-qubit unitary: its PTM columns have up to 63 outputs."""
+    g = np.random.default_rng(5).standard_normal((8, 8, 2))
+    return np.linalg.qr(g[..., 0] + 1j * g[..., 1])[0]
+
+
 def golden_circuit(kind):
     """Four qubits, one step kind. The input has an entangled factor on the
     non-adjacent pair (0, 2) and the observable a factor on (3, 1), so both
@@ -354,6 +362,7 @@ def golden_circuit(kind):
         "noisy_t": [(noisy_t, (q,)) for q in (0, 2, 1, 3)],
         "zzz": [(make_unitary_ptm(_zzz_rotation(math.pi / 8)), t)
                 for t in ((0, 1, 2), (3, 1, 0))],
+        "u3": [(make_unitary_ptm(dense_u3()), (2, 0, 3)), (make_clifford("h"), (1,))],
         "dead": [(make_rotation(0.9), (0,)), (make_measure_z(), (0,)),
                  (make_reset(t_state()), (1,)), (make_rotation(0.4), (2,)),
                  (make_measure_z(), (2,))],
@@ -361,8 +370,9 @@ def golden_circuit(kind):
     return Circuit(4, inp, [ChannelApplication(p, q) for p, q in steps], obs)
 
 
-# seeded (mean, sample_std) over two batches, pinned from the engine that
-# decoded base-4 digits per step; any engine rewrite must reproduce them exactly
+# seeded (mean, sample_std) over two batches, pinned from an engine that
+# decoded base-4 PTM digits per step: the code-indexed tables reproduce them
+# bit for bit, because they keep each column's outputs and the u -> slot rule
 GOLDEN = {
     ("h", "schrodinger"): (-0.027972644088503796, 0.6027519574569821),
     ("h", "heisenberg"): (-0.02695808571209921, 0.42634660925644857),
@@ -372,6 +382,8 @@ GOLDEN = {
     ("noisy_t", "heisenberg"): (0.039159476736156724, 0.2462092142864834),
     ("zzz", "schrodinger"): (0.10491105270668699, 1.0038485970829318),
     ("zzz", "heisenberg"): (0.09812690322315959, 0.5778464820490395),
+    ("u3", "schrodinger"): (-0.017221353360893005, 3.9850637427989177),
+    ("u3", "heisenberg"): (0.010930364361015577, 2.232610833861744),
     ("dead", "schrodinger"): (0.0857726913756742, 1.0797811107053576),
     ("dead", "heisenberg"): (0.08395694999999999, 0.4037462869193797),
 }
@@ -381,3 +393,56 @@ GOLDEN = {
 def test_golden_seeded_estimates(kind, direction):
     rep = estimate(golden_circuit(kind), direction, BATCH_SIZE + 4_464, seed=11)
     assert (rep.mean, rep.sample_std) == GOLDEN[kind, direction]
+
+
+def _pauli_index(code, k):
+    """PTM index (base-4 digits I, X, Y, Z) of the local code xbits | zbits << k."""
+    index = 0
+    for pos in range(k):
+        xb, zb = (code >> pos) & 1, (code >> (k + pos)) & 1
+        index += ((0, 3), (1, 2))[xb][zb] << (2 * pos)
+    return index
+
+
+def _decode_step(step):
+    """Dense matrix whose column j is the expected output of Pauli j."""
+    k = len(step.qubits)
+    size, m = 4**k, step.m
+    register = sum(1 << q for q in step.qubits)
+    dense = np.zeros((size, size))
+    for c in range(size):
+        for slot in range(m):
+            upper = 1.0 if slot == m - 1 else step.cum[slot, c]
+            lower = 0.0 if slot == 0 else step.cum[slot - 1, c]
+            e = c * m + slot
+            dx, dz = int(step.dx[e]), int(step.dz[e])
+            assert dx & ~register == 0 and dz & ~register == 0
+            out = c
+            for pos, q in enumerate(step.qubits):
+                out ^= ((dx >> q) & 1) << pos
+                out ^= ((dz >> q) & 1) << (k + pos)
+            dense[_pauli_index(out, k), _pauli_index(c, k)] += (upper - lower) * step.mult[e]
+    return dense
+
+
+def _library_channels():
+    return [make_clifford(name) for name in CLIFFORD_NAMES] + [
+        make_rotation(0.7), make_depolarizing(0.6), make_measure_z(),
+        make_reset(t_state()), make_adaptive(make_rotation(0.9)),
+        compose(make_depolarizing(0.8), make_rotation(math.pi / 4)),
+        make_unitary_ptm(dense_u3()),
+    ]
+
+
+@pytest.mark.parametrize("direction", ["schrodinger", "heisenberg"])
+def test_compiled_steps_decode_to_their_ptm(direction):
+    placements = {1: (5,), 2: (6, 1), 3: (7, 2, 4)}
+    for ptm in _library_channels():
+        qubits = placements[ptm.k]
+        circ = Circuit(8, FactoredState.of_qubit_states([zero_state()] * 8),
+                       [ChannelApplication(ptm, qubits)], pauli_factor(8, {0: 3}))
+        (step,) = compile_circuit(circ, direction).steps
+        want = ptm.matrix if direction == "schrodinger" else ptm.matrix.T
+        np.testing.assert_allclose(_decode_step(step), want, rtol=0, atol=1e-11)
+        assert step.kills == (not step.mult.all())
+        assert (step.flips_x, step.flips_z) == (bool(step.dx.any()), bool(step.dz.any()))

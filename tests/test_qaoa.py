@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from pauliprop import qaoa
+
 from pauliprop.propagation import cost_report, hoeffding_epsilon
 from pauliprop.qaoa import (
     E3Lin2Instance,
@@ -162,3 +164,46 @@ def test_run_experiment_record():
     assert abs(rec["eps_nest"] - epsilon_nest(10, 2000, 0.01)) < 1e-15
     assert rec["eps_heis_engine"] > 0
     assert rec["seconds"] > 0
+
+
+def test_term_seeds_do_not_repeat_across_shifted_base_seeds(monkeypatch):
+    # with an additive stride of 0x9E3779B9 per term, these two base seeds
+    # would share 9 of the 10 term streams
+    calls = []
+    real = qaoa.estimate
+
+    def estimate(circuit, direction, n_samples, **kwargs):
+        calls.append(kwargs["seed"])
+        return real(circuit, direction, n_samples, **kwargs)
+
+    monkeypatch.setattr(qaoa, "estimate", estimate)
+    inst = generate_instance(8, 10, rng_for(3))
+    params = QaoaParams(gamma=math.pi / 8)
+    heisenberg_estimate(inst, params, 10, seed=5)
+    heisenberg_estimate(inst, params, 10, seed=5 + 0x9E3779B9)
+    first, second = set(calls[:inst.m]), set(calls[inst.m:])
+    assert len(calls) == 2 * inst.m and len(first) == len(second) == inst.m
+    assert not first & second
+    with pytest.raises(ValueError, match="seed"):
+        heisenberg_estimate(inst, params, 10, seed=-1)
+
+
+def test_rotation_ptms_are_built_once_per_angle(monkeypatch):
+    builds = []
+    real = qaoa.make_unitary_ptm
+
+    def make_unitary_ptm(u):
+        builds.append(u.shape)
+        return real(u)
+
+    monkeypatch.setattr(qaoa, "make_unitary_ptm", make_unitary_ptm)
+    qaoa._zzz_rotation_ptm.cache_clear()
+    qaoa._mixer_ptm.cache_clear()
+    inst = generate_instance(8, 10, rng_for(11))
+    assert {eq[3] for eq in inst.equations} == {0, 1}
+    params = QaoaParams(gamma=0.3, beta=0.2)
+    heisenberg_estimate(inst, params, 10, seed=1)
+    # +gamma and -gamma rotations and one mixer, for all ten terms
+    assert sorted(builds) == [(2, 2), (8, 8), (8, 8)]
+    heisenberg_estimate(inst, params, 10, seed=2)
+    assert len(builds) == 3
