@@ -243,9 +243,6 @@ class ChoiState:
     matrix: np.ndarray
     p_lambda: float
 
-    def as_operator(self) -> DenseOperator:
-        return DenseOperator(self.matrix)
-
 
 def choi_matrix(ptm: PTM) -> np.ndarray:
     """Un-normalized Choi state (Lambda (x) I)(|Bell><Bell|) as a dense matrix.
@@ -284,7 +281,7 @@ def choi_from_ptm(ptm: PTM) -> ChoiState:
         raise NotCompletelyPositiveError(f"Choi eigenvalue {low:.2e} < 0")
     trace = float(np.trace(phi).real)
     if trace <= 0:
-        raise ValueError("channel annihilates the Bell state; no Choi state")
+        raise NotCompletelyPositiveError("channel annihilates the Bell state; no Choi state")
     normalized = phi / trace
     return ChoiState(ptm.k_in, normalized, postselection_probability(normalized, ptm.k_in))
 

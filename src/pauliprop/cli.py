@@ -41,13 +41,6 @@ EXIT_OVERFLOW = 4
 EXIT_ORACLE = 5
 
 
-class _CliFailure(Exception):
-    def __init__(self, code: int, kind: str, message: str):
-        super().__init__(message)
-        self.code = code
-        self.kind = kind
-
-
 def _default_workers() -> int:
     try:
         return max(1, int(os.environ.get("PAULIPROP_WORKERS", "1")))
@@ -217,8 +210,7 @@ def _cmd_qaoa(args) -> int:
         inst = load_instance(args.instance)
     else:
         if args.n is None or args.m is None:
-            raise _CliFailure(EXIT_VALIDATION, "validation",
-                              "need --n and --m (or --instance FILE)")
+            raise SpecValidationError("need --n and --m (or --instance FILE)")
         rng = block_rng(args.seed, 0)
         inst = qaoa.generate_instance(args.n, args.m, rng)
     if args.save_instance:
@@ -281,15 +273,15 @@ def _cmd_classify_channel(args) -> int:
 def _cmd_norms(args) -> int:
     app = _load_channel_spec(args)
     ptm = app.ptm
+    choi = choi_from_ptm(ptm)
     out = {
         "k": ptm.k,
         "d_forward": channel_norm(ptm),
         "d_adjoint": adjoint_norm(ptm),
         "robustness": None,
-        "p_lambda": choi_from_ptm(ptm).p_lambda,
+        "p_lambda": choi.p_lambda,
     }
     if ptm.k == 1:
-        choi = choi_from_ptm(ptm)
         out["robustness"] = magic.robustness(DenseOperator(choi.matrix))
     _emit(out, args.output)
     return 0
@@ -403,10 +395,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _CliFailure as e:
-        print(json.dumps({"error": {"type": e.kind, "message": str(e)}}),
-              file=sys.stderr)
-        return e.code
     except tuple(t[0] for t in _FAILURES) as e:
         for etype, code, kind in _FAILURES:
             if isinstance(e, etype):

@@ -28,6 +28,7 @@ from .channels import (
     NotCompletelyPositiveError,
     adjoint_norm,
     channel_norm,
+    choi_from_ptm,
     choi_matrix,
     ptm_from_choi,
 )
@@ -183,16 +184,9 @@ def classify_ptm(ptm: PTM, sset: StabilizerSet | None = None) -> ClassificationR
     Raises NotCompletelyPositiveError when the PTM has no Choi state
     (possible after projection); callers tally those as invalid.
     """
-    phi = choi_matrix(ptm)
-    low = float(np.linalg.eigvalsh(phi)[0])
-    if low < -1e-8:
-        raise NotCompletelyPositiveError(f"Choi eigenvalue {low:.2e}")
-    trace = float(np.trace(phi).real)
-    if trace <= 0:
-        raise NotCompletelyPositiveError("Choi state has nonpositive trace")
+    choi_op = DenseOperator(choi_from_ptm(ptm).matrix)
     if sset is None:
         sset = enumerate_stabilizer_states(2)
-    choi_op = DenseOperator(phi / trace)
     d_fwd = channel_norm(ptm)
     d_adj = adjoint_norm(ptm)
     r = robustness(choi_op, sset)

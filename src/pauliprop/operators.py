@@ -1,13 +1,14 @@
-"""Dense Hermitian operators on small qubit sets and Pauli-basis sampling.
+"""Dense Hermitian operators on small qubit sets, and their Pauli data.
 
-This is the sampling workhorse: any Hermitian A on k <= 3 qubits decomposes
-as A = sum_i coeffs[i] * sigma_i with coeffs[i] = Tr(sigma_i A)/2^k, and the
-estimator draws sigma_i with probability |Tr(sigma_i A)| / (2^k * D(A)),
-weighted by c = sign(Tr(sigma_i A)) * D(A). D is the stabilizer norm
+Any Hermitian A on k <= 3 qubits decomposes as A = sum_i coeffs[i] * sigma_i
+with coeffs[i] = Tr(sigma_i A)/2^k. Its stabilizer norm
 
-    D(A) = 2^{-k} * sum_sigma |Tr(sigma A)|,
+    D(A) = 2^{-k} * sum_sigma |Tr(sigma A)|
 
-the L1 norm of the Pauli coefficient vector. E[c * sigma] = A.
+is the L1 norm of that coefficient vector. The estimator draws sigma_i with
+probability |coeffs[i]| / D(A) and weight sign(coeffs[i]) * D(A), so that
+E[c * sigma] = A; the propagation engine compiles that draw into its own
+step tables, and this module holds no sampling state.
 
 Local Pauli indices are base-4 with the factor's first qubit as the least
 significant digit; the digits are I=0, X=1, Y=2, Z=3.
@@ -22,9 +23,6 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
-# trace coefficients |Tr(sigma A)| at or below this are excluded from the
-# sampling support, so sign() never sees numerical noise
-ZERO_COEFF_TOL = 1e-12
 
 _PAULI_1Q = (
     np.array([[1, 0], [0, 1]], dtype=complex),
@@ -63,7 +61,7 @@ class DenseOperator:
     """Hermitian matrix on k <= 3 qubits with cached Pauli data.
 
     Treated as immutable after construction; the matrix is marked read-only
-    so the cached coefficient vector and sampling tables stay valid.
+    so the cached coefficient vector and trace table stay valid.
     """
 
     def __init__(self, matrix):
@@ -103,20 +101,6 @@ class DenseOperator:
         t = self.coeffs * 2**self.k
         t.setflags(write=False)
         return t
-
-    @cached_property
-    def _sampler(self):
-        """(support indices, cumulative probabilities, signs) of the draw of
-        sigma_i with probability |coeffs[i]| / D; the engine's start sampler."""
-        traces = self.trace_table
-        support = np.flatnonzero(np.abs(traces) > ZERO_COEFF_TOL)
-        if support.size == 0:
-            return support, np.zeros(0), np.zeros(0)
-        weights = np.abs(self.coeffs[support])
-        cum = np.cumsum(weights)
-        cum /= cum[-1]
-        signs = np.sign(traces[support])
-        return support, cum, signs
 
     def is_state(self, trace_tol=1e-9, psd_tol=PSD_TOL) -> bool:
         if abs(np.trace(self.matrix).real - 1.0) > trace_tol:

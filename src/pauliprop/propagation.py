@@ -30,8 +30,10 @@ register masks of the x and z bits the step flips. A deterministic step
 
 and a stochastic step with at most m outputs per column draws u ~ U[0, 1),
 takes slot = #{t : u >= cum[t, c]} and indexes the same tables at c * m + slot.
-The finish contraction gathers codes the same way, into trace tables of its
-factors permuted into code order.
+The start operator is drawn by the same steps: each factor A = sum_i a_i sigma_i
+is a step with one column, (a_i), read at the identity code that every lane
+starts from. The finish contraction gathers codes the same way, into trace
+tables of its factors permuted into code order.
 
 Sampling streams: the samples are cut into batches of BATCH_SIZE, and batch b
 draws from its own Philox generator keyed by (seed, b) (see fanout). Batch
@@ -44,6 +46,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,10 +156,16 @@ def hoeffding_epsilon(total_bound: float, n_samples: int, delta: float) -> float
     return 2.0 * total_bound * math.sqrt(math.log(2.0 / delta) / (2.0 * n_samples))
 
 
+def _check_delta(delta: float):
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+
+
 def plan_samples(circuit: Circuit, direction: str, epsilon_target: float, delta: float) -> int:
     """Smallest N with (1/2N) ln(2/delta) (2*total_bound)^2 <= epsilon^2."""
-    if epsilon_target <= 0:
-        raise ValueError("epsilon target must be positive")
+    if not (math.isfinite(epsilon_target) and epsilon_target > 0):
+        raise ValueError(f"epsilon target must be finite and positive, got {epsilon_target!r}")
+    _check_delta(delta)
     rng_bound = 2.0 * cost_report(circuit, direction).total_bound
     n = math.ceil((rng_bound**2 / (2.0 * epsilon_target**2)) * math.log(2.0 / delta))
     return max(int(n), 1)
@@ -174,8 +183,9 @@ def plan_samples(circuit: Circuit, direction: str, epsilon_target: float, delta:
 _ENTRY_TOL = 1e-12
 
 
+@lru_cache(maxsize=None)
 def _local_bits(k: int) -> tuple:
-    """(xbits, zbits) of every k-qubit PTM index, as int64 arrays."""
+    """(xbits, zbits) of every k-qubit PTM index, as int64 arrays. Cached per k."""
     index = np.arange(4**k)
     xbits = np.zeros(4**k, dtype=np.int64)
     zbits = np.zeros(4**k, dtype=np.int64)
@@ -183,6 +193,8 @@ def _local_bits(k: int) -> tuple:
         digit = (index >> (2 * pos)) & 3
         xbits |= ((digit ^ (digit >> 1)) & 1) << pos
         zbits |= (digit >> 1) << pos
+    xbits.setflags(write=False)
+    zbits.setflags(write=False)
     return xbits, zbits
 
 
@@ -231,17 +243,9 @@ def _gather_code(words: tuple, plan: tuple, out: np.ndarray, tmp: np.ndarray) ->
 
 
 @dataclass
-class _StartFactor:
-    qubits: tuple
-    cum: np.ndarray      # cumulative probabilities over the support
-    values: np.ndarray   # sign * D(factor) per support entry
-    x_contrib: np.ndarray
-    z_contrib: np.ndarray
-
-
-@dataclass
 class _StartPlan:
-    # single-support factors folded into constants; the rest sampled per draw
+    # single-output factors folded into constants; the rest are one-column
+    # steps, run before the channel steps
     const_x: int
     const_z: int
     const_coeff: float
@@ -250,15 +254,16 @@ class _StartPlan:
 
 @dataclass
 class _Step:
-    """One channel step. Entry c * m + slot holds the multiplier and the XOR
+    """One channel step, with 4^k columns, or one start factor, with the
+    identity column alone. Entry c * m + slot holds the multiplier and the XOR
     deltas of output `slot` of the column with code c; m = 1 for a
     deterministic step, which then draws nothing."""
     qubits: tuple
     gather: tuple
     m: int
-    cum: np.ndarray   # (m - 1, 4^k): P(slot <= t) for column c at [t, c]
-    mult: np.ndarray  # (4^k * m,) the entry, or sign * column L1 norm if m > 1
-    dx: np.ndarray    # (4^k * m,) uint64 register masks of the x bits to flip
+    cum: np.ndarray   # (m - 1, columns): P(slot <= t) for column c at [t, c]
+    mult: np.ndarray  # (columns * m,) the entry, or sign * column L1 norm if m > 1
+    dx: np.ndarray    # (columns * m,) uint64 register masks of the x bits to flip
     dz: np.ndarray
     flips_x: bool     # False when dx is all zero (z-only gates such as S, CZ)
     flips_z: bool
@@ -280,20 +285,15 @@ def _compile_start(state: FactoredState) -> _StartPlan:
     const_coeff = 1.0
     random_factors = []
     for qubits, op in state.factors:
-        support, cum, signs = op._sampler
-        if support.size == 0:
+        step = _place(_tabulate(op.coeffs[:, None]), qubits)
+        if not step.mult.any():
             raise ValueError(f"zero operator on qubits {qubits} (D = 0)")
-        xbits, zbits = _local_bits(len(qubits))
-        x_contrib = _spread(xbits[support], qubits)
-        z_contrib = _spread(zbits[support], qubits)
-        if support.size == 1:
-            const_x |= int(x_contrib[0])
-            const_z |= int(z_contrib[0])
-            const_coeff *= float(signs[0]) * op.stabilizer_norm
-            continue
-        random_factors.append(_StartFactor(
-            qubits, cum, signs * op.stabilizer_norm, x_contrib, z_contrib
-        ))
+        if step.m == 1:
+            const_x |= int(step.dx[0])
+            const_z |= int(step.dz[0])
+            const_coeff *= float(np.sign(step.mult[0])) * op.stabilizer_norm
+        else:
+            random_factors.append(step)
     return _StartPlan(const_x, const_z, const_coeff, random_factors)
 
 
@@ -312,13 +312,15 @@ def _compile_steps(circuit: Circuit, direction: str) -> list:
 
 
 def _tabulate(r: np.ndarray) -> tuple:
-    """(m, cum, mult, local x flips, local z flips) of a PTM, in code order."""
+    """(m, cum, mult, local x flips, local z flips) of a PTM, in code order.
+
+    r may hold only the first columns of a PTM (a start factor has one)."""
     size = r.shape[1]
-    k = (size.bit_length() - 1) // 2
+    k = (r.shape[0].bit_length() - 1) // 2
     # columns in code order; each column keeps its outputs in PTM index
     # order, so a draw u picks the same output as in PTM order. The norms are
     # summed before the permutation: numpy's summation order follows layout.
-    order = _code_order(k)
+    order = _code_order(k)[:size]
     colnorm = np.abs(r).sum(axis=0)[order]
     r = r[:, order]
     supports = [np.flatnonzero(np.abs(r[:, c]) > _ENTRY_TOL) for c in range(size)]
@@ -361,7 +363,7 @@ def _finish_block(qubits: list, tables: list) -> _FinishFactor:
         # axis b - 1 - pos is the z bit of this qubit, axis 2b - 1 - pos its x bit
         shape = [1] * (2 * b)
         shape[b - 1 - pos] = shape[2 * b - 1 - pos] = 2
-        table = table * tbl[[[0, 1], [3, 2]]].reshape(shape)
+        table = table * tbl[_code_order(1).reshape(2, 2)].reshape(shape)
     return _FinishFactor(_gather_plan(qubits), table.ravel())
 
 
@@ -396,7 +398,7 @@ class _Compiled:
     start: _StartPlan
     steps: list
     finish: list
-    total_bound: float
+    cost: CostReport
 
 
 def compile_circuit(circuit: Circuit, direction: str) -> "_Compiled":
@@ -412,7 +414,7 @@ def compile_circuit(circuit: Circuit, direction: str) -> "_Compiled":
         _compile_start(start),
         _compile_steps(circuit, direction),
         _compile_finish(finish),
-        report.total_bound,
+        report,
     )
 
 
@@ -421,12 +423,6 @@ def _run_batch(compiled: _Compiled, count: int, rng) -> tuple:
     x = np.full(count, plan.const_x, dtype=np.uint64)
     z = np.full(count, plan.const_z, dtype=np.uint64)
     coeff = np.full(count, plan.const_coeff)
-    for f in plan.factors:
-        idx = np.searchsorted(f.cum, rng.random(count), side="right")
-        np.minimum(idx, f.cum.size - 1, out=idx)
-        coeff *= f.values[idx]
-        x |= f.x_contrib[idx]
-        z |= f.z_contrib[idx]
     # scratch buffers reused by every step. The gathers pass mode="wrap"
     # because mode="raise" copies through a buffer; every code is in range.
     words = (x.view(np.int64), z.view(np.int64))
@@ -436,7 +432,7 @@ def _run_batch(compiled: _Compiled, count: int, rng) -> tuple:
     delta = np.empty(count, dtype=np.uint64)
     u = np.empty(count)
     below = np.empty(count, dtype=bool)
-    for st in compiled.steps:
+    for st in plan.factors + compiled.steps:
         _gather_code(words, st.gather, code, index)
         if st.m > 1:
             # slot = #{t : u >= cum[t, c]}, the inverse-CDF draw of the column
@@ -461,7 +457,7 @@ def _run_batch(compiled: _Compiled, count: int, rng) -> tuple:
         np.take(f.table, _gather_code(words, f.gather, code, index), out=factor, mode="wrap")
         coeff *= factor
     if __debug__:
-        limit = compiled.total_bound * (1 + 1e-9) + 1e-12
+        limit = compiled.cost.total_bound * (1 + 1e-9) + 1e-12
         assert float(np.abs(coeff).max(initial=0.0)) <= limit
     return float(coeff.sum()), float((coeff * coeff).sum())
 
@@ -483,8 +479,8 @@ def estimate(
         raise ValueError(f"direction must be one of {DIRECTIONS}")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    _check_delta(delta)
     t0 = time.perf_counter()
-    report = cost_report(circuit, direction)
     compiled = compile_circuit(circuit, direction)
     results = fan_out(_run_batch, (compiled,), n_samples, BATCH_SIZE, seed, workers)
     total = sum(r[0] for r in results)
@@ -497,9 +493,9 @@ def estimate(
     return EstimateReport(
         mean=mean,
         n_samples=n_samples,
-        epsilon=hoeffding_epsilon(report.total_bound, n_samples, delta),
+        epsilon=hoeffding_epsilon(compiled.cost.total_bound, n_samples, delta),
         delta=delta,
-        cost=report,
+        cost=compiled.cost,
         seed=seed,
         wall_time=time.perf_counter() - t0,
         direction=direction,

@@ -94,6 +94,28 @@ def test_validation_failure_is_exit_3(tmp_path, capsys):
     assert err["error"]["type"] == "validation"
     code = cli.main(["qaoa", "--gamma", "0.1", "--samples", "10", "--seed", "0"])
     assert code == 3  # neither --instance nor --n/--m
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--samples", "100", "--delta", "0"],
+    ["estimate", "--samples", "100", "--delta", "1.5"],
+    ["estimate", "--samples", "100", "--delta", "nan"],
+    ["estimate", "--epsilon", "0.1", "--delta", "0"],
+    ["qaoa", "--n", "8", "--m", "10", "--gamma", "0.3", "--samples", "100",
+     "--delta", "0"],
+])
+def test_bad_delta_is_exit_3(tmp_path, capsys, argv):
+    if argv[0] == "estimate":
+        argv = argv + ["--circuit", write_circuit(tmp_path, circuit_obj())]
+    code = cli.main(argv + ["--seed", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "validation"
+    assert "delta" in err["error"]["message"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -242,6 +242,9 @@ def test_classify_ptm_rejects_non_cp_maps():
     # the transpose map is positive but not completely positive
     with pytest.raises(NotCompletelyPositiveError):
         classify_ptm(PTM(np.diag([1.0, 1.0, -1.0, 1.0])))
+    # the zero map has a PSD Choi matrix but no normalized Choi state
+    with pytest.raises(NotCompletelyPositiveError):
+        classify_ptm(PTM(np.zeros((4, 4))))
 
 
 def test_projection_modes_preserve_cp_for_sampled_channels():

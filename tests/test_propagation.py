@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pauliprop import propagation
 from pauliprop.channels import (
     CLIFFORD_NAMES,
     ChannelApplication,
@@ -168,6 +169,12 @@ def test_singleton_start_factors_fold_into_constants():
     assert compiled.start.factors == []
     assert compiled.start.const_coeff == 1.0
     assert compiled.start.const_z == 0b11
+    # -Z (x) 2X: the folded coefficient keeps the sign, times D = 1 * 2
+    signed = FactoredState(2, [((0,), DenseOperator(-pauli_matrix(3, 1))),
+                               ((1,), DenseOperator(2 * pauli_matrix(1, 1)))])
+    start = compile_circuit(bell_circuit(signed), "heisenberg").start
+    assert (start.factors, start.const_coeff) == ([], -2.0)
+    assert (start.const_x, start.const_z) == (0b10, 0b01)
 
 
 def random_mixed_circuit(n, depth, rng):
@@ -301,6 +308,35 @@ def test_estimate_validation():
         estimate(circ, "schrodinger", 10, workers=0)
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, math.nan])
+def test_bad_delta_is_refused_before_sampling(monkeypatch, delta):
+    monkeypatch.setattr(propagation, "fan_out", None)  # any walk would fail
+    with pytest.raises(ValueError, match="delta"):
+        estimate(trivial_circuit(), "heisenberg", 10, delta=delta)
+    with pytest.raises(ValueError, match="delta"):
+        plan_samples(trivial_circuit(), "heisenberg", 0.1, delta)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.5, math.inf, math.nan])
+def test_bad_epsilon_target_is_refused(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        plan_samples(trivial_circuit(), "heisenberg", epsilon, 0.01)
+
+
+def test_cost_report_runs_once_per_estimate(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cost_report(*args)
+
+    monkeypatch.setattr(propagation, "cost_report", counted)
+    circ = bell_circuit(pauli_factor(2, {0: 3, 1: 3}))
+    for direction in ("schrodinger", "heisenberg"):
+        assert estimate(circ, direction, 10).cost == cost_report(circ, direction)
+    assert len(calls) == 2
+
+
 def test_deep_wide_clifford_walk_returns_to_its_observable():
     """A random Clifford circuit followed by its inverse maps a Z word back to
     itself, so on |0...0> the exact value is 1, not 0."""
@@ -342,14 +378,18 @@ def dense_u3():
     return np.linalg.qr(g[..., 0] + 1j * g[..., 1])[0]
 
 
+def golden_pair():
+    """An entangled 2-qubit state: a Bell state mixed with T (x) H."""
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    return DenseOperator(0.7 * bell + 0.3 * np.kron(t_state().matrix, h_state().matrix))
+
+
 def golden_circuit(kind):
     """Four qubits, one step kind. The input has an entangled factor on the
     non-adjacent pair (0, 2) and the observable a factor on (3, 1), so both
     directions finish through a multi-qubit factor as well as 1-qubit ones."""
-    bell = np.zeros((4, 4), dtype=complex)
-    bell[np.ix_([0, 3], [0, 3])] = 0.5
-    pair = DenseOperator(0.7 * bell + 0.3 * np.kron(t_state().matrix, h_state().matrix))
-    inp = FactoredState(4, [((0, 2), pair), ((1,), t_state()), ((3,), h_state())])
+    inp = FactoredState(4, [((0, 2), golden_pair()), ((1,), t_state()), ((3,), h_state())])
     coeffs = np.zeros(16)
     coeffs[[0, 5, 7, 9, 15]] = [0.2, 0.5, -0.4, 0.3, -0.25]
     obs = FactoredState(4, [((3, 1), DenseOperator.from_coeffs(coeffs, 2)),
@@ -405,12 +445,13 @@ def _pauli_index(code, k):
 
 
 def _decode_step(step):
-    """Dense matrix whose column j is the expected output of Pauli j."""
+    """Dense matrix whose column j is the expected output of Pauli j; a start
+    step has the identity column alone."""
     k = len(step.qubits)
-    size, m = 4**k, step.m
+    columns, m = step.cum.shape[1], step.m
     register = sum(1 << q for q in step.qubits)
-    dense = np.zeros((size, size))
-    for c in range(size):
+    dense = np.zeros((4**k, columns))
+    for c in range(columns):
         for slot in range(m):
             upper = 1.0 if slot == m - 1 else step.cum[slot, c]
             lower = 0.0 if slot == 0 else step.cum[slot - 1, c]
@@ -446,3 +487,17 @@ def test_compiled_steps_decode_to_their_ptm(direction):
         np.testing.assert_allclose(_decode_step(step), want, rtol=0, atol=1e-11)
         assert step.kills == (not step.mult.all())
         assert (step.flips_x, step.flips_z) == (bool(step.dx.any()), bool(step.dz.any()))
+    # each start factor is drawn as a one-column step: its Pauli coefficients
+    g = np.random.default_rng(9).standard_normal((8, 8, 2))
+    g = g[..., 0] + 1j * g[..., 1]
+    dense3 = DenseOperator(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    factors = [((3,), zero_state()), ((0,), plus_state()), ((5,), t_state()),
+               ((7,), h_state()), ((6, 1), golden_pair()), ((8, 2, 4), dense3)]
+    state = FactoredState(9, factors)
+    compiled = compile_circuit(Circuit(9, state, [], state), direction)
+    assert compiled.steps == []
+    assert len(compiled.start.factors) == len(factors)
+    for step, (qubits, op) in zip(compiled.start.factors, factors):
+        assert step.qubits == qubits
+        np.testing.assert_allclose(_decode_step(step), op.coeffs[:, None],
+                                   rtol=0, atol=1e-15)
