@@ -232,6 +232,59 @@ def test_figures_fig3_boundaries(tmp_path, capsys):
     assert "CSH" in cats and "SH" in cats
 
 
+# fig1 --grid 21, one string per x value: s = stabilizer mixture,
+# h = hyper-octahedral non-stabilizer, m = magic, - = not a state
+_FIG1_GRID_21 = [
+    "---------------------",
+    "---------------------",
+    "---------------------",
+    "---------------------",
+    "---------------------",
+    "---------------------",
+    "---------------------",
+    "---------------------",
+    "--------hsssh--------",
+    "-------hsssssh-------",
+    "------sssssssss------",
+    "------hsssssssh------",
+    "------hsssssssh------",
+    "------hhssssshh------",
+    "------hhssssshh------",
+    "------hhhssshhh------",
+    "-------hhssshh-------",
+    "-------mhhshhm-------",
+    "---------msm---------",
+    "---------------------",
+    "---------------------",
+]
+_FIG1_CODES = {"stabilizer_mixture": "s", "hyper_octahedral_nonstab": "h",
+               "magic": "m", "not_a_state": "-"}
+
+
+def test_fig1_grid_21_is_pinned():
+    _, rows = cli._fig1_rows(21)
+    cats = "".join(_FIG1_CODES[row[2]] for row in rows)
+    assert [cats[i:i + 21] for i in range(0, 21 * 21, 21)] == _FIG1_GRID_21
+
+
+# fig3 category column: for each of the 25 angles, the 31 fidelities run
+# through CSH, then SH, then M; the pin is (#CSH, #SH, #M) per angle
+_FIG3_RUNS = [
+    (31, 0, 0), (25, 3, 3), (21, 4, 6), (17, 6, 8), (15, 6, 10), (13, 7, 11),
+    (11, 8, 12), (10, 8, 13), (9, 8, 14), (9, 8, 14), (8, 8, 15), (8, 8, 15),
+    (8, 8, 15), (8, 8, 15), (8, 8, 15), (9, 8, 14), (9, 8, 14), (10, 8, 13),
+    (11, 8, 12), (13, 7, 11), (15, 6, 10), (17, 6, 8), (21, 4, 6), (25, 3, 3),
+    (31, 0, 0),
+]
+
+
+def test_fig3_category_column_is_pinned():
+    _, rows = cli._fig3_rows()
+    want = [cat for csh, sh, m in _FIG3_RUNS
+            for cat in ["CSH"] * csh + ["SH"] * sh + ["M"] * m]
+    assert [row[4] for row in rows] == want
+
+
 def test_figures_fig5_modes(tmp_path, capsys):
     out = tmp_path / "fig5.csv"
     assert cli.main(["figures", "--which", "fig5", "--samples", "40",

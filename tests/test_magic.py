@@ -284,3 +284,44 @@ def test_csh_boundary_location():
     assert abs(f - 0.5468) < 2e-3
     with pytest.raises(ValueError, match="bracket"):
         csh_boundary_f(f_low=0.9)
+
+
+# Seeded census outputs, taken from the one-LP-per-sample solver: categories
+# and invalid counts must match exactly, robustness values to 1e-9.
+_CENSUS_PINS = {
+    "general": (
+        "M M M M M M M M S S M S M S M M S M M M M M M M",
+        [1.47579519429, 1.20514564716, 1.36991594964, 1.16494980512, 1.3378050069,
+         1.14024105316, 1.51231213865, 1.41109593325, 1.12838434649, 1.20451327447,
+         1.56992574358, 1.45552625596, 1.21000091672, 1.13394831667, 1.10144182395,
+         1.56127591574, 1.08763598975, 1.21059026572, 1.43118423817, 1.39462640538,
+         1.29357357013, 1.25601554629, 1.2717138208, 1.27759852228]),
+    "unital": (
+        "CS CS CS CS S CS S S CS CS S CS CS CS CS S CS CS S S CS CS S CS",
+        [1.0, 1.0, 1.0, 1.0, 1.02252566676, 1.0, 1.02845870967, 1.03970277358,
+         1.0, 1.0, 1.05600846038, 1.0, 1.0, 1.0, 1.0, 1.06201096071, 1.0, 1.0,
+         1.07257755353, 1.022736633, 1.0, 1.0, 1.12509412239, 1.0]),
+    "trace_preserving": (
+        "CH CH H H H CH M CH CH CH H CH H CH CH H CH H H H H H M H",
+        [1.0, 1.0, 1.17357583308, 1.06954622239, 1.05866727026, 1.0, 1.1429921263,
+         1.0, 1.0, 1.0, 1.08741282648, 1.0, 1.16971415633, 1.0, 1.0, 1.04635754654,
+         1.0, 1.03057699238, 1.00188576362, 1.01152354597, 1.09665262312,
+         1.10602385516, 1.0831236474, 1.02704658284]),
+    "both": (" ".join(["CSH"] * 24), [1.0] * 24),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_CENSUS_PINS))
+def test_seeded_channel_census_is_pinned(mode):
+    res = classification_census(24, mode, seed=7)
+    categories, values = _CENSUS_PINS[mode]
+    assert res.invalid == 0
+    assert [rec[0] for rec in res.records] == list(range(24))
+    assert [rec[4] for rec in res.records] == categories.split()
+    np.testing.assert_allclose([rec[3] for rec in res.records], values,
+                               rtol=0, atol=1e-9)
+
+
+def test_seeded_state_census_is_pinned():
+    assert state_census(40, n=2, seed=5) == {
+        "stabilizer_mixture": 1, "hyper_octahedral_nonstab": 21, "magic": 18}
