@@ -57,9 +57,12 @@ from .magic import (
     classification_census,
     classify_channel,
     classify_ptm,
+    classify_ptms,
     classify_state,
+    classify_states,
     enumerate_stabilizer_states,
     robustness,
+    robustness_many,
     sample_hilbert_schmidt,
     state_census,
 )

@@ -129,12 +129,12 @@ def _fig1_rows(grid: int):
     base = pauli_matrix(0, 2) / 4
     xx_zz_yy = pauli_matrix(5, 2) + pauli_matrix(15, 2) - pauli_matrix(10, 2)
     zi_iz = pauli_matrix(3, 2) + pauli_matrix(12, 2)
-    rows = []
-    for x in np.linspace(-0.3, 0.3, grid):
-        for y in np.linspace(-0.3, 0.3, grid):
-            op = DenseOperator(base + x * xx_zz_yy + y * zi_iz)
-            cat = magic.classify_state(op, sset) if op.is_state() else "not_a_state"
-            rows.append((float(x), float(y), cat))
+    points = [(float(x), float(y), DenseOperator(base + x * xx_zz_yy + y * zi_iz))
+              for x in np.linspace(-0.3, 0.3, grid) for y in np.linspace(-0.3, 0.3, grid)]
+    categories = iter(magic.classify_states(
+        [op for _, _, op in points if op.is_state()], sset))
+    rows = [(x, y, next(categories) if op.is_state() else "not_a_state")
+            for x, y, op in points]
     return ["x", "y", "category"], rows
 
 
@@ -145,15 +145,14 @@ def _fig2_rows(samples: int, seed: int, workers: int):
 
 
 def _fig3_rows():
-    sset = magic.enumerate_stabilizer_states(2)
-    rows = []
-    for theta in np.linspace(0.0, math.pi / 2, 25):
-        diamond = 1.0 / (abs(math.cos(theta)) + abs(math.sin(theta)))
-        for f in np.linspace(0.4, 1.0, 31):
-            ptm = compose(make_depolarizing(float(f)), make_rotation(float(theta)))
-            rec = magic.classify_ptm(ptm, sset)
-            rows.append((float(f), float(theta), rec.d_forward, rec.d_adjoint,
-                         rec.category, diamond))
+    grid = [(float(f), float(theta)) for theta in np.linspace(0.0, math.pi / 2, 25)
+            for f in np.linspace(0.4, 1.0, 31)]
+    records = magic.classify_ptms(
+        [compose(make_depolarizing(f), make_rotation(theta)) for f, theta in grid],
+        magic.enumerate_stabilizer_states(2))
+    rows = [(f, theta, rec.d_forward, rec.d_adjoint, rec.category,
+             1.0 / (abs(math.cos(theta)) + abs(math.sin(theta))))
+            for (f, theta), rec in zip(grid, records)]
     return ["f", "theta", "d_forward", "d_adjoint", "category", "diamond_f"], rows
 
 

@@ -19,17 +19,21 @@ from pauliprop.channels import (
 )
 from pauliprop.magic import (
     CHANNEL_CATEGORIES,
+    LP_BATCH,
     LP_TOL,
     STATE_CATEGORIES,
     classification_census,
     classify_channel,
     classify_ptm,
+    classify_ptms,
     classify_state,
+    classify_states,
     csh_boundary_f,
     enumerate_stabilizer_states,
     project_ptm,
     robustness,
     robustness_closed_form_1q,
+    robustness_many,
     sample_hilbert_schmidt,
     state_census,
     _solve_robustness,
@@ -103,6 +107,79 @@ def test_lp_solution_carries_a_duality_certificate():
         assert float(np.abs(sset.trace_matrix.T @ y).max()) <= 1.0 + 1e-7
         assert min(abs(y @ rho.trace_table - res.fun),
                    abs(y @ rho.trace_table + res.fun)) < 1e-7
+
+
+def test_batched_robustness_matches_single(monkeypatch):
+    import pauliprop.magic as magic
+
+    for n in (1, 2):
+        rng = np.random.default_rng(40 + n)
+        sset = enumerate_stabilizer_states(n)
+        for length in (0, 1, LP_BATCH, LP_BATCH + 1):
+            ops = [sample_hilbert_schmidt(n, rng) for _ in range(length)]
+            got = robustness_many(ops, sset)
+            assert got.shape == (length,)
+            want = [robustness(op, sset) for op in ops]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+            if n == 1:
+                closed = [robustness_closed_form_1q(op) for op in ops]
+                np.testing.assert_allclose(got, closed, rtol=0, atol=1e-9)
+    # one state at two offsets of the same chunk, among different neighbours
+    rng = np.random.default_rng(7)
+    ops = [sample_hilbert_schmidt(2, rng) for _ in range(6)]
+    got = robustness_many([ops[0], *ops[1:4], ops[0], *ops[4:]])
+    assert abs(got[0] - got[4]) < 1e-12
+    np.testing.assert_allclose(got[[0, 1, 2, 3, 5, 6]],
+                               [robustness(op) for op in ops], rtol=0, atol=1e-9)
+    with pytest.raises(ValueError, match="does not match"):
+        robustness_many(ops, enumerate_stabilizer_states(1))
+
+    calls = []
+    real_linprog = magic.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["A_eq"].shape)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(magic, "linprog", counting)
+    robustness_many(ops * 6)  # 36 problems: one chunk of LP_BATCH, one of 4
+    assert calls == [(16 * LP_BATCH, 120 * LP_BATCH), (16 * 4, 120 * 4)]
+
+    class Failed:
+        status, message = 2, "The problem is infeasible."
+
+    monkeypatch.setattr(magic, "linprog", lambda *args, **kwargs: Failed())
+    for length in (1, 2):
+        with pytest.raises(RuntimeError, match="robustness LP failed"):
+            robustness_many(ops[:length])
+
+
+def test_batched_classifiers_match_single():
+    rng = np.random.default_rng(12)
+    sset = enumerate_stabilizer_states(2)
+    states = [sample_hilbert_schmidt(2, rng) for _ in range(40)]
+    states += [DenseOperator(np.kron(np.eye(2) / 2, h_state().matrix)),
+               maximally_mixed(2), DenseOperator(np.kron(t_state().matrix, t_state().matrix))]
+    got = classify_states(states, sset)
+    assert got == [classify_state(op, sset) for op in states]
+    assert set(got) == set(STATE_CATEGORIES)
+    assert classify_states([], sset) == []
+
+    ptms = [ptm_from_choi(op.matrix) for op in states[:12]]
+    ptms += [make_rotation(math.pi / 4), make_reset(h_state()),
+             PTM(np.diag([1.0, 1.0, -1.0, 1.0])), make_clifford("h"),
+             PTM(np.zeros((4, 4))), adjoint(make_reset(zero_state()))]
+    records = classify_ptms(ptms, sset)
+    for ptm, rec in zip(ptms, records):
+        try:
+            want = classify_ptm(ptm, sset)
+        except NotCompletelyPositiveError:
+            assert rec is None
+            continue
+        assert (rec.category, rec.d_forward, rec.d_adjoint) == \
+            (want.category, want.d_forward, want.d_adjoint)
+        assert abs(rec.robustness - want.robustness) < 1e-9
+    assert [rec is None for rec in records].count(True) == 2
 
 
 def test_appending_a_stabilizer_ancilla_keeps_robustness():
