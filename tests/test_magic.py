@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pauliprop import magic
 from pauliprop.channels import (
     PTM,
     NotCompletelyPositiveError,
@@ -110,8 +111,6 @@ def test_lp_solution_carries_a_duality_certificate():
 
 
 def test_batched_robustness_matches_single(monkeypatch):
-    import pauliprop.magic as magic
-
     for n in (1, 2):
         rng = np.random.default_rng(40 + n)
         sset = enumerate_stabilizer_states(n)
