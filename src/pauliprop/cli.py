@@ -125,14 +125,12 @@ def _cmd_verify(args) -> int:
 
 
 def _fig1_rows(grid: int):
-    sset = magic.enumerate_stabilizer_states(2)
     base = pauli_matrix(0, 2) / 4
     xx_zz_yy = pauli_matrix(5, 2) + pauli_matrix(15, 2) - pauli_matrix(10, 2)
     zi_iz = pauli_matrix(3, 2) + pauli_matrix(12, 2)
     points = [(float(x), float(y), DenseOperator(base + x * xx_zz_yy + y * zi_iz))
               for x in np.linspace(-0.3, 0.3, grid) for y in np.linspace(-0.3, 0.3, grid)]
-    categories = iter(magic.classify_states(
-        [op for _, _, op in points if op.is_state()], sset))
+    categories = iter(magic.classify_states([op for _, _, op in points if op.is_state()]))
     rows = [(x, y, next(categories) if op.is_state() else "not_a_state")
             for x, y, op in points]
     return ["x", "y", "category"], rows
@@ -148,8 +146,7 @@ def _fig3_rows():
     grid = [(float(f), float(theta)) for theta in np.linspace(0.0, math.pi / 2, 25)
             for f in np.linspace(0.4, 1.0, 31)]
     records = magic.classify_ptms(
-        [compose(make_depolarizing(f), make_rotation(theta)) for f, theta in grid],
-        magic.enumerate_stabilizer_states(2))
+        [compose(make_depolarizing(f), make_rotation(theta)) for f, theta in grid])
     rows = [(f, theta, rec.d_forward, rec.d_adjoint, rec.category,
              1.0 / (abs(math.cos(theta)) + abs(math.sin(theta))))
             for (f, theta), rec in zip(grid, records)]

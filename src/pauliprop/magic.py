@@ -256,8 +256,6 @@ def classify_ptm(ptm: PTM, sset: StabilizerSet | None = None) -> ClassificationR
     (possible after projection); callers tally those as invalid.
     """
     choi_op = DenseOperator(choi_from_ptm(ptm).matrix)
-    if sset is None:
-        sset = enumerate_stabilizer_states(2)
     return _channel_record(ptm, robustness(choi_op, sset))
 
 
@@ -309,7 +307,7 @@ CENSUS_BLOCK = 4
 def _census_block(mode: str, count: int, rng) -> list:
     ptms = [project_ptm(ptm_from_choi(sample_hilbert_schmidt(2, rng).matrix), mode)
             for _ in range(count)]
-    return classify_ptms(ptms, enumerate_stabilizer_states(2))
+    return classify_ptms(ptms)
 
 
 def classification_census(n_samples: int, mode: str = "general", seed: int = 0,
@@ -331,8 +329,7 @@ def classification_census(n_samples: int, mode: str = "general", seed: int = 0,
 
 
 def _state_census_block(n: int, count: int, rng) -> list:
-    states = [sample_hilbert_schmidt(n, rng) for _ in range(count)]
-    return classify_states(states, enumerate_stabilizer_states(n))
+    return classify_states([sample_hilbert_schmidt(n, rng) for _ in range(count)])
 
 
 def state_census(n_samples: int, n: int = 2, seed: int = 0, workers: int = 1) -> dict:
