@@ -17,7 +17,6 @@ from .operators import (
     h_state,
     maximally_mixed,
     plus_state,
-    stabilizer_norm,
     t_state,
     zero_state,
 )
@@ -55,7 +54,6 @@ from .propagation import (
 )
 from .magic import (
     classification_census,
-    classify_channel,
     classify_ptm,
     classify_ptms,
     classify_state,

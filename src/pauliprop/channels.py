@@ -224,10 +224,6 @@ def make_unitary_ptm(u: np.ndarray) -> PTM:
     return _validated(PTM(kraus_to_ptm([u], k)))
 
 
-def identity_ptm(k: int) -> PTM:
-    return PTM(np.eye(4**k))
-
-
 # ---------------------------------------------------------------------------
 # Choi states (postselective-channel bijection)
 

@@ -11,27 +11,52 @@ linear program. Categories:
               the bijection with two-qubit mixed states, optionally projected
               onto the unital and/or trace-preserving Bloch subspaces.
 
-LP solver contract: scipy's HiGHS backend (feasibility residual <= 1e-8,
-optimality gap <= 1e-6); the classification threshold 1 + 1e-6 matches.
-A single input is one dense LP over the 2 * count split weights q = q+ - q-.
-Many inputs (robustness_many) are solved LP_BATCH at a time as one LP whose
-constraint matrix is block diagonal, one [T, -T] block per input. The blocks
-share no variables and the objective is the plain sum of all weights, so any
-optimum of the stacked LP restricts to an optimum of every block, and each
-input's robustness is the sum of its own slice of the solution. HiGHS's
-feasibility and dual-feasibility tolerances hold per row and per column, so
-every block meets the same contract as a single solve; the batch amortizes
-scipy's per-call overhead, which is most of the cost of a 16 x 120 LP.
+Certificates first. The LP min sum(x) s.t. [T, -T] x = t, x >= 0, over the
+trace table t of rho and the stabilizer trace tables T_s, has the dual
+max <y, t> s.t. |<y, T_s>| <= 1 for every s (Howard & Campbell, PRL 118,
+090501, 2017), so any dual-feasible y proves R >= <y, t>. Every input is
+scored against a table of such rows: the identity row e_0, the
+stabilizer-norm row sign(t)/2^n (its score is D, so D <= R), and a fixed set
+of Clifford-orbit LP duals (two qubits: package data written by
+tools/make_stabilizer_duals.py and checked for exact feasibility at load;
+one qubit: (0, +-1, +-1, +-1), with which the table is complete since
+R = max(1, |b|_1)). The best row y settles an input in one of two ways:
+
+  bound -- <y, t> > 1 + LP_TOL proves the input is no stabilizer mixture,
+           which is all a state category needs;
+  exact -- an NNLS fit of t over the columns on which y is tight,
+           [T_s : <y, T_s> = +1] and [-T_s : <y, T_s> = -1], with residual
+           <= 1e-10 and weight sum <y, t> is a primal point of the same
+           objective, so R = <y, t> by complementary slackness.
+
+LP solver contract, for the inputs no certificate settles: scipy's HiGHS
+backend (feasibility residual <= 1e-8, optimality gap <= 1e-6); the
+classification threshold 1 + 1e-6 matches. They are solved LP_BATCH at a
+time as one LP whose constraint matrix is block diagonal, one [T, -T] block
+per input. The blocks share no variables and the objective is the plain sum
+of all weights, so any optimum of the stacked LP restricts to an optimum of
+every block, and each input's robustness is the sum of its own slice of the
+solution. HiGHS's feasibility and dual-feasibility tolerances hold per row
+and per column, so every block meets the same contract as a single solve;
+the batch amortizes scipy's per-call overhead, which is most of the cost of
+a 16 x 120 LP. A batch of one takes the dense single-problem path.
+
+Each classification batch logs one DEBUG record on the "pauliprop" logger
+whose `classify` attribute counts how the batch was settled.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.resources import files
+from itertools import product
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from .channels import (
     PTM,
@@ -48,9 +73,17 @@ from .operators import DenseOperator
 LP_TOL = 1e-6
 LP_BATCH = 32  # robustness LPs stacked into one block-diagonal solve
 DEDUP_DECIMALS = 9
+DUAL_DENOM = 60  # dual table rows are stored exactly as the integers 60 * y
+# inputs scored against the dual table per product: at this size OpenBLAS
+# runs it on one thread, whose cost does not jump when workers share cores
+CERT_CHUNK = 16
+FIT_TOL = 1e-10  # largest NNLS residual of an exact certificate
+VALUE_TOL = 1e-9  # largest gap between its weight sum and <y, t>
 
 STATE_CATEGORIES = ("stabilizer_mixture", "hyper_octahedral_nonstab", "magic")
 CHANNEL_CATEGORIES = ("M", "C", "S", "H", "CS", "CH", "SH", "CSH")
+
+_log = logging.getLogger("pauliprop")
 
 
 @dataclass(frozen=True)
@@ -128,17 +161,8 @@ def _min_weight(a_eq, b_eq):
 
 
 def _solve_robustness(rho: DenseOperator, sset: StabilizerSet):
+    """One dense LP, no certificates: the reference the tests compare against."""
     return _min_weight(_split_weights(sset), rho.trace_table)
-
-
-def robustness(rho: DenseOperator, sset: StabilizerSet | None = None) -> float:
-    """min sum |q_i| s.t. rho = sum q_i |phi_i><phi_i| (sum q_i = 1 is implied
-    by the identity-Pauli constraint)."""
-    if sset is None:
-        sset = enumerate_stabilizer_states(rho.k)
-    if rho.k != sset.n:
-        raise ValueError("state size does not match the stabilizer set")
-    return float(_solve_robustness(rho, sset).fun)
 
 
 def _block_diagonal(block: np.ndarray, size: int) -> sparse.csc_array:
@@ -153,28 +177,117 @@ def _block_diagonal(block: np.ndarray, size: int) -> sparse.csc_array:
                             shape=(rows * size, cols * size))
 
 
-def robustness_many(ops, sset: StabilizerSet | None = None) -> np.ndarray:
-    """robustness() of every operator in `ops`, LP_BATCH problems per
-    block-diagonal linprog call (see the module docstring). A chunk of one
-    takes the dense single-problem path, which is the faster of the two."""
-    ops = list(ops)
-    if not ops:
-        return np.zeros(0)
-    if sset is None:
-        sset = enumerate_stabilizer_states(ops[0].k)
-    if any(op.k != sset.n for op in ops):
-        raise ValueError("state size does not match the stabilizer set")
+def _lp_values(tables: np.ndarray, sset: StabilizerSet) -> np.ndarray:
+    """LP robustness of every trace table (row), LP_BATCH problems per
+    block-diagonal linprog call (see the module docstring)."""
     block = _split_weights(sset)
     values = []
-    for start in range(0, len(ops), LP_BATCH):
-        chunk = ops[start:start + LP_BATCH]
+    for start in range(0, len(tables), LP_BATCH):
+        chunk = tables[start:start + LP_BATCH]
         if len(chunk) == 1:
-            values.append(_min_weight(block, chunk[0].trace_table).fun)
+            values.append(_min_weight(block, chunk[0]).fun)
             continue
-        res = _min_weight(_block_diagonal(block, len(chunk)),
-                          np.concatenate([op.trace_table for op in chunk]))
+        res = _min_weight(_block_diagonal(block, len(chunk)), chunk.ravel())
         values.extend(res.x.reshape(len(chunk), -1).sum(axis=1))
     return np.array(values, dtype=float)
+
+
+@dataclass(frozen=True)
+class DualTable:
+    trace: np.ndarray  # (4^n, count): the stabilizer trace tables T_s, exact integers
+    rows: np.ndarray  # (rows, 4^n): dual-feasible y, |<y, T_s>| <= 1 for all s
+    tight: np.ndarray  # (rows, count): <y, T_s> where that is +-1, else 0
+
+
+@lru_cache(maxsize=None)
+def _dual_table(n: int) -> DualTable:
+    """The fixed certificate rows for n qubits, the identity row first;
+    every row is checked to be feasible in integer arithmetic."""
+    if n == 1:
+        scaled = DUAL_DENOM * np.array([(0, *signs) for signs in product((-1, 1), repeat=3)])
+    else:
+        with files("pauliprop").joinpath("data/stabilizer_duals_2q.txt").open() as fh:
+            scaled = np.loadtxt(fh, dtype=np.int64, ndmin=2)
+    identity = np.zeros((1, 4**n), dtype=np.int64)
+    identity[0, 0] = DUAL_DENOM
+    scaled = np.vstack([identity, scaled])
+    trace = np.rint(enumerate_stabilizer_states(n).trace_matrix).astype(np.int64)
+    scores = scaled @ trace
+    if np.abs(scores).max() > DUAL_DENOM:
+        raise RuntimeError("a stored dual row is not feasible for the stabilizer LP")
+    tight = np.where(np.abs(scores) == DUAL_DENOM, np.sign(scores), 0)
+    table = DualTable(trace, scaled / DUAL_DENOM, tight)
+    for array in (table.trace, table.rows, table.tight):
+        array.setflags(write=False)  # shared by every caller through the cache
+    return table
+
+
+def _robustness(tables: np.ndarray, sset: StabilizerSet, exact: bool) -> np.ndarray:
+    """Robustness of every trace table, certificates first and the LP for
+    the rest (see the module docstring). With exact=False a returned value
+    above 1 + LP_TOL may be a lower bound only. Logs one DEBUG record."""
+    table = _dual_table(sset.n)
+    values = np.full(len(tables), np.nan)
+    counts = {"inputs": len(tables), "d_skips": 0, "bound_certs": 0,
+              "exact_certs": 0, "lps": 0, "lp_s": 0.0}
+    for start in range(0, len(tables), CERT_CHUNK):
+        chunk = tables[start:start + CERT_CHUNK]
+        for i, best in enumerate((chunk @ table.rows.T).argmax(axis=1)):
+            t = chunk[i]
+            # scored alone, so that a value never depends on its batch
+            value, tight = float(t @ table.rows[best]), table.tight[best]
+            norm = float(np.abs(t).sum()) / 2**sset.n  # the sign(t)/2^n row's score
+            if norm > value:
+                signs = np.sign(t).astype(np.int64) @ table.trace
+                value, tight = norm, np.where(np.abs(signs) == 2**sset.n, np.sign(signs), 0)
+            if not exact and not _at_most_one(value):
+                counts["d_skips" if not _at_most_one(norm) else "bound_certs"] += 1
+            elif _primal_check(t, value, tight, table.trace):
+                counts["exact_certs"] += 1
+            else:
+                continue
+            values[start + i] = value
+    open_ = np.flatnonzero(np.isnan(values))
+    if len(open_):
+        t0 = time.perf_counter()
+        values[open_] = _lp_values(tables[open_], sset)
+        counts["lps"], counts["lp_s"] = len(open_), time.perf_counter() - t0
+    _log.debug("classify batch: %(inputs)d inputs, %(d_skips)d D > 1 skips, "
+               "%(bound_certs)d bound certificates, %(exact_certs)d exact "
+               "certificates, %(lps)d LPs in %(lp_s).3f s", counts,
+               extra={"classify": counts})
+    return values
+
+
+def _primal_check(t: np.ndarray, value: float, tight: np.ndarray,
+                  trace: np.ndarray) -> bool:
+    """True if t is a nonnegative combination of the signed columns on which
+    y is tight, with weight sum <y, t>: then R(t) = <y, t>."""
+    cols = np.flatnonzero(tight)
+    weights, residual = nnls(trace[:, cols] * tight[cols], t)
+    return residual <= FIT_TOL and abs(weights.sum() - value) <= VALUE_TOL
+
+
+def _trace_tables(ops, sset: StabilizerSet | None) -> tuple[np.ndarray, StabilizerSet]:
+    if sset is None:
+        sset = enumerate_stabilizer_states(ops[0].k if ops else 2)
+    if any(op.k != sset.n for op in ops):
+        raise ValueError("state size does not match the stabilizer set")
+    return np.array([op.trace_table for op in ops]).reshape(len(ops), 4**sset.n), sset
+
+
+def robustness(rho: DenseOperator, sset: StabilizerSet | None = None) -> float:
+    """min sum |q_i| s.t. rho = sum q_i |phi_i><phi_i| (sum q_i = 1 is implied
+    by the identity-Pauli constraint)."""
+    return float(robustness_many([rho], sset)[0])
+
+
+def robustness_many(ops, sset: StabilizerSet | None = None) -> np.ndarray:
+    """robustness() of every operator in `ops`: exact certificates where
+    they hold, batched LPs for the rest (see the module docstring)."""
+    ops = list(ops)
+    tables, sset = _trace_tables(ops, sset)
+    return _robustness(tables, sset, exact=True)
 
 
 def robustness_closed_form_1q(rho: DenseOperator) -> float:
@@ -188,7 +301,7 @@ def _at_most_one(value: float) -> bool:
     return value <= 1.0 + LP_TOL
 
 
-def _state_category(d: float, r: float | None) -> str:
+def _state_category(d: float, r: float) -> str:
     if not _at_most_one(d):
         return "magic"
     return "stabilizer_mixture" if _at_most_one(r) else "hyper_octahedral_nonstab"
@@ -196,19 +309,18 @@ def _state_category(d: float, r: float | None) -> str:
 
 def classify_state(rho: DenseOperator, sset: StabilizerSet | None = None) -> str:
     """stabilizer_mixture iff R <= 1+tol, else hyper-octahedral iff D <= 1+tol,
-    else magic. Since D <= R, states with D > 1+tol skip the LP entirely."""
-    d = rho.stabilizer_norm
-    return _state_category(d, robustness(rho, sset) if _at_most_one(d) else None)
+    else magic."""
+    return classify_states([rho], sset)[0]
 
 
 def classify_states(ops, sset: StabilizerSet | None = None) -> list:
-    """classify_state for every operator, with the LPs of the states that the
-    D > 1+tol shortcut does not settle solved by robustness_many."""
-    norms = [op.stabilizer_norm for op in ops]
-    values = iter(robustness_many(
-        [op for op, d in zip(ops, norms) if _at_most_one(d)], sset).tolist())
-    return [_state_category(d, next(values) if _at_most_one(d) else None)
-            for d in norms]
+    """classify_state for every operator. A category needs only R <= 1+tol
+    or not, so a certified lower bound above 1+tol (D itself, when D > 1+tol)
+    settles most states without an exact value or an LP."""
+    ops = list(ops)
+    tables, sset = _trace_tables(ops, sset)
+    values = _robustness(tables, sset, exact=False)
+    return [_state_category(op.stabilizer_norm, r) for op, r in zip(ops, values)]
 
 
 def sample_hilbert_schmidt(n: int, rng: np.random.Generator) -> DenseOperator:
@@ -255,8 +367,10 @@ def classify_ptm(ptm: PTM, sset: StabilizerSet | None = None) -> ClassificationR
     Raises NotCompletelyPositiveError when the PTM has no Choi state
     (possible after projection); callers tally those as invalid.
     """
-    choi_op = DenseOperator(choi_from_ptm(ptm).matrix)
-    return _channel_record(ptm, robustness(choi_op, sset))
+    rec = _classify_ptms([ptm], sset)[0]
+    if isinstance(rec, NotCompletelyPositiveError):
+        raise rec
+    return rec
 
 
 def _channel_record(ptm: PTM, r: float) -> ClassificationRecord:
@@ -268,25 +382,25 @@ def _channel_record(ptm: PTM, r: float) -> ClassificationRecord:
 
 
 def classify_ptms(ptms, sset: StabilizerSet | None = None) -> list:
-    """classify_ptm for every PTM, with the Choi-state LPs solved by
-    robustness_many; the entry of a PTM with no Choi state is None."""
+    """classify_ptm for every PTM, with the Choi-state robustness values
+    taken by robustness_many; the entry of a PTM with no Choi state is None."""
+    return [None if isinstance(rec, NotCompletelyPositiveError) else rec
+            for rec in _classify_ptms(ptms, sset)]
+
+
+def _classify_ptms(ptms, sset: StabilizerSet | None) -> list:
+    """A record per PTM, or the NotCompletelyPositiveError its Choi state raised."""
+    ptms = list(ptms)
     chois = []
     for ptm in ptms:
         try:
             chois.append(DenseOperator(choi_from_ptm(ptm).matrix))
-        except NotCompletelyPositiveError:
-            chois.append(None)
-    values = iter(robustness_many([c for c in chois if c is not None], sset).tolist())
-    return [None if choi is None else _channel_record(ptm, next(values))
-            for ptm, choi in zip(ptms, chois)]
-
-
-def classify_channel(rho_2q: DenseOperator, mode: str = "general",
-                     sset: StabilizerSet | None = None) -> ClassificationRecord:
-    """Interpret a two-qubit state as the normalized Choi state of a
-    postselective qubit channel, project per mode, and classify."""
-    ptm = project_ptm(ptm_from_choi(rho_2q.matrix), mode)
-    return classify_ptm(ptm, sset)
+        except NotCompletelyPositiveError as err:
+            chois.append(err)
+    values = iter(robustness_many([c for c in chois if isinstance(c, DenseOperator)],
+                                  sset).tolist())
+    return [choi if isinstance(choi, NotCompletelyPositiveError)
+            else _channel_record(ptm, next(values)) for ptm, choi in zip(ptms, chois)]
 
 
 @dataclass(frozen=True)
@@ -349,12 +463,8 @@ def csh_boundary_f(theta: float = np.pi / 4, f_low: float = 0.4, f_high: float =
     sweep)."""
     from .channels import compose, make_depolarizing, make_rotation
 
-    sset = enumerate_stabilizer_states(2)
-
     def is_csh(f: float) -> bool:
-        ptm = compose(make_depolarizing(f), make_rotation(theta))
-        choi = DenseOperator(choi_from_ptm(ptm).matrix)
-        return _at_most_one(robustness(choi, sset))
+        return "C" in classify_ptm(compose(make_depolarizing(f), make_rotation(theta))).category
 
     if not is_csh(f_low) or is_csh(f_high):
         raise ValueError("bisection bracket does not straddle the boundary")

@@ -111,11 +111,6 @@ class DenseOperator:
         return f"DenseOperator(k={self.k})"
 
 
-def stabilizer_norm(a: DenseOperator) -> float:
-    """D(A) = 2^{-k} sum_sigma |Tr(sigma A)|."""
-    return a.stabilizer_norm
-
-
 # ---------------------------------------------------------------------------
 # tensor-factored operators
 

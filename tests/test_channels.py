@@ -17,7 +17,6 @@ from pauliprop.channels import (
     choi_from_ptm,
     choi_matrix,
     compose,
-    identity_ptm,
     make_adaptive,
     make_clifford,
     make_depolarizing,
@@ -238,10 +237,6 @@ def test_make_unitary_ptm_agrees_with_tables():
                                make_clifford("h").matrix, atol=1e-12)
     np.testing.assert_allclose(make_unitary_ptm(CNOT).matrix,
                                make_clifford("cnot").matrix, atol=1e-12)
-
-
-def test_identity_ptm():
-    np.testing.assert_allclose(identity_ptm(2).matrix, np.eye(16))
 
 
 def test_choi_round_trip_on_library_channels():

@@ -1,4 +1,7 @@
+import importlib.util
+import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,9 @@ from pauliprop.channels import (
     PTM,
     NotCompletelyPositiveError,
     adjoint,
+    adjoint_norm,
+    channel_norm,
+    choi_from_ptm,
     choi_matrix,
     compose,
     make_adaptive,
@@ -20,11 +26,12 @@ from pauliprop.channels import (
 )
 from pauliprop.magic import (
     CHANNEL_CATEGORIES,
+    DUAL_DENOM,
     LP_BATCH,
     LP_TOL,
+    MODES,
     STATE_CATEGORIES,
     classification_census,
-    classify_channel,
     classify_ptm,
     classify_ptms,
     classify_state,
@@ -110,6 +117,18 @@ def test_lp_solution_carries_a_duality_certificate():
                    abs(y @ rho.trace_table + res.fun)) < 1e-7
 
 
+def _oracle_values(ops, sset):
+    return np.array([_solve_robustness(op, sset).fun for op in ops])
+
+
+def _lp_category(op, sset):
+    if op.stabilizer_norm > 1 + LP_TOL:
+        return "magic"
+    if _solve_robustness(op, sset).fun <= 1 + LP_TOL:
+        return "stabilizer_mixture"
+    return "hyper_octahedral_nonstab"
+
+
 def test_batched_robustness_matches_single(monkeypatch):
     for n in (1, 2):
         rng = np.random.default_rng(40 + n)
@@ -118,21 +137,23 @@ def test_batched_robustness_matches_single(monkeypatch):
             ops = [sample_hilbert_schmidt(n, rng) for _ in range(length)]
             got = robustness_many(ops, sset)
             assert got.shape == (length,)
-            want = [robustness(op, sset) for op in ops]
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(got, _oracle_values(ops, sset), rtol=0, atol=1e-9)
             if n == 1:
                 closed = [robustness_closed_form_1q(op) for op in ops]
                 np.testing.assert_allclose(got, closed, rtol=0, atol=1e-9)
     # one state at two offsets of the same chunk, among different neighbours
     rng = np.random.default_rng(7)
+    sset = enumerate_stabilizer_states(2)
     ops = [sample_hilbert_schmidt(2, rng) for _ in range(6)]
     got = robustness_many([ops[0], *ops[1:4], ops[0], *ops[4:]])
     assert abs(got[0] - got[4]) < 1e-12
-    np.testing.assert_allclose(got[[0, 1, 2, 3, 5, 6]],
-                               [robustness(op) for op in ops], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(got[[0, 1, 2, 3, 5, 6]], _oracle_values(ops, sset),
+                               rtol=0, atol=1e-9)
     with pytest.raises(ValueError, match="does not match"):
         robustness_many(ops, enumerate_stabilizer_states(1))
 
+    # the LP stage, which takes the inputs no certificate settles
+    tables = np.array([op.trace_table for op in ops * 6])
     calls = []
     real_linprog = magic.linprog
 
@@ -141,7 +162,7 @@ def test_batched_robustness_matches_single(monkeypatch):
         return real_linprog(*args, **kwargs)
 
     monkeypatch.setattr(magic, "linprog", counting)
-    robustness_many(ops * 6)  # 36 problems: one chunk of LP_BATCH, one of 4
+    magic._lp_values(tables, sset)  # 36 problems: one chunk of LP_BATCH, one of 4
     assert calls == [(16 * LP_BATCH, 120 * LP_BATCH), (16 * 4, 120 * 4)]
 
     class Failed:
@@ -150,7 +171,7 @@ def test_batched_robustness_matches_single(monkeypatch):
     monkeypatch.setattr(magic, "linprog", lambda *args, **kwargs: Failed())
     for length in (1, 2):
         with pytest.raises(RuntimeError, match="robustness LP failed"):
-            robustness_many(ops[:length])
+            magic._lp_values(tables[:length], sset)
 
 
 def test_batched_classifiers_match_single():
@@ -160,6 +181,7 @@ def test_batched_classifiers_match_single():
     states += [DenseOperator(np.kron(np.eye(2) / 2, h_state().matrix)),
                maximally_mixed(2), DenseOperator(np.kron(t_state().matrix, t_state().matrix))]
     got = classify_states(states, sset)
+    assert got == [_lp_category(op, sset) for op in states]
     assert got == [classify_state(op, sset) for op in states]
     assert set(got) == set(STATE_CATEGORIES)
     assert classify_states([], sset) == []
@@ -171,14 +193,177 @@ def test_batched_classifiers_match_single():
     records = classify_ptms(ptms, sset)
     for ptm, rec in zip(ptms, records):
         try:
-            want = classify_ptm(ptm, sset)
+            choi = DenseOperator(choi_from_ptm(ptm).matrix)
         except NotCompletelyPositiveError:
             assert rec is None
+            with pytest.raises(NotCompletelyPositiveError):
+                classify_ptm(ptm, sset)
             continue
-        assert (rec.category, rec.d_forward, rec.d_adjoint) == \
-            (want.category, want.d_forward, want.d_adjoint)
-        assert abs(rec.robustness - want.robustness) < 1e-9
+        r = _solve_robustness(choi, sset).fun
+        d_fwd, d_adj = channel_norm(ptm), adjoint_norm(ptm)
+        letters = "".join(letter for letter, value in (("C", r), ("S", d_fwd), ("H", d_adj))
+                          if value <= 1 + LP_TOL)
+        assert (rec.category, rec.d_forward, rec.d_adjoint) == (letters or "M", d_fwd, d_adj)
+        assert abs(rec.robustness - r) < 1e-9
+        single = classify_ptm(ptm, sset)
+        assert single.category == rec.category
+        assert abs(single.robustness - rec.robustness) < 1e-9
     assert [rec is None for rec in records].count(True) == 2
+
+
+def test_batched_classifiers_accept_generators():
+    rng = np.random.default_rng(13)
+    states = [sample_hilbert_schmidt(2, rng) for _ in range(9)]
+    ptms = [ptm_from_choi(op.matrix) for op in states]
+    assert classify_states(op for op in states) == classify_states(states)
+    assert classify_ptms(p for p in ptms) == classify_ptms(ptms)
+    assert len(classify_ptms(p for p in ptms)) == 9
+    np.testing.assert_array_equal(robustness_many(op for op in states),
+                                  robustness_many(states))
+
+
+def test_one_qubit_table_settles_every_input(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a one-qubit input reached the LP")
+
+    monkeypatch.setattr(magic, "linprog", no_lp)
+    rng = np.random.default_rng(77)
+    ops = [sample_hilbert_schmidt(1, rng) for _ in range(300)]
+    ops += [zero_state(), maximally_mixed(1), h_state(), t_state(),
+            DenseOperator.from_coeffs([0.5, 0.5, 0.0, 0.0], 1)]
+    got = robustness_many(ops)
+    np.testing.assert_allclose(got, [robustness_closed_form_1q(op) for op in ops],
+                               rtol=0, atol=1e-9)
+    assert "hyper_octahedral_nonstab" not in classify_states(ops)
+
+
+def test_dual_table_rows_are_exactly_feasible():
+    data = Path(magic.__file__).parent / "data" / "stabilizer_duals_2q.txt"
+    stored = np.loadtxt(data, dtype=np.int64, ndmin=2)
+    assert stored.shape[1] == 16 and len(stored) > 100
+    assert np.abs(stored).max() <= 127  # DUAL_DENOM * y fits int8
+    trace = np.rint(enumerate_stabilizer_states(2).trace_matrix).astype(np.int64)
+    assert np.abs(stored @ trace).max() <= DUAL_DENOM
+    for n in (1, 2):
+        table = magic._dual_table(n)
+        sset = enumerate_stabilizer_states(n)
+        np.testing.assert_array_equal(table.rows[0], np.eye(4**n)[0])
+        assert np.abs(table.rows @ sset.trace_matrix).max() <= 1 + 1e-12
+        tight = np.isclose(np.abs(table.rows @ sset.trace_matrix), 1.0)
+        np.testing.assert_array_equal(table.tight != 0, tight)
+    assert len(magic._dual_table(1).rows) == 9
+
+
+def test_dual_table_load_rejects_an_infeasible_row(monkeypatch, tmp_path):
+    (tmp_path / "data").mkdir()
+    row = np.zeros(16, dtype=int)
+    row[[1, 4]] = DUAL_DENOM  # <y, T_s> = 2 on |++>: X on either qubit
+    np.savetxt(tmp_path / "data" / "stabilizer_duals_2q.txt", [row], fmt="%d")
+    monkeypatch.setattr(magic, "files", lambda package: tmp_path)
+    magic._dual_table.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not feasible"):
+            magic._dual_table(2)
+    finally:
+        magic._dual_table.cache_clear()
+
+
+def test_certified_categories_match_lp_on_10k_states():
+    """Categories equal the LP-only path, and no state the LP calls a
+    stabilizer mixture gets a lower bound above 1 + LP_TOL."""
+    rng = np.random.default_rng(2024)
+    sset = enumerate_stabilizer_states(2)
+    states = [sample_hilbert_schmidt(2, rng) for _ in range(10_000)]
+    tables = np.array([op.trace_table for op in states])
+    norms = np.array([op.stabilizer_norm for op in states])
+    lp = np.full(len(states), np.inf)
+    near = norms <= 1 + LP_TOL
+    lp[near] = magic._lp_values(tables[near], sset)
+    want = ["magic" if d > 1 + LP_TOL else
+            "stabilizer_mixture" if r <= 1 + LP_TOL else "hyper_octahedral_nonstab"
+            for d, r in zip(norms, lp)]
+    assert classify_states(states, sset) == want
+    bounds = magic._robustness(tables, sset, exact=False)
+    members = lp <= 1 + LP_TOL
+    assert members.sum() > 50
+    assert np.all(bounds[members] <= 1 + LP_TOL)
+
+
+def test_certified_values_match_lp_per_mode(caplog):
+    sset = enumerate_stabilizer_states(2)
+    for m, mode in enumerate(MODES):
+        rng = np.random.default_rng(300 + m)
+        chois = []
+        while len(chois) < 1000:
+            ptm = project_ptm(ptm_from_choi(sample_hilbert_schmidt(2, rng).matrix), mode)
+            try:
+                chois.append(DenseOperator(choi_from_ptm(ptm).matrix))
+            except NotCompletelyPositiveError:
+                continue
+        want = _oracle_values(chois, sset)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="pauliprop"):
+            got = robustness_many(chois, sset)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        counts = caplog.records[-1].classify
+        assert counts["exact_certs"] >= 500, (mode, counts)
+        bounds = magic._robustness(np.array([c.trace_table for c in chois]), sset,
+                                   exact=False)
+        assert np.all(bounds[want <= 1 + LP_TOL] <= 1 + LP_TOL)
+
+
+def test_census_telemetry_is_opt_in(caplog):
+    def run():
+        return (classification_census(24, "trace_preserving", seed=7),
+                state_census(40, n=2, seed=5))
+
+    with caplog.at_level(logging.WARNING, logger="pauliprop"):
+        quiet = run()
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="pauliprop"):
+        loud = run()
+    assert loud == quiet
+    counts = [rec.classify for rec in caplog.records]
+    assert len(counts) == 24 // 4 + 40 // 4  # one record per census block
+    for c in counts:
+        assert c["d_skips"] + c["bound_certs"] + c["exact_certs"] + c["lps"] == c["inputs"]
+    assert sum(c["inputs"] for c in counts) == 24 + 40
+    assert sum(c["d_skips"] for c in counts[6:]) == loud[1]["magic"]
+
+
+def _generator():
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_stabilizer_duals.py"
+    spec = importlib.util.spec_from_file_location("make_stabilizer_duals", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_table_generator_steps():
+    gen = _generator()
+    sset = enumerate_stabilizer_states(2)
+    keys = {tuple(col) for col in np.rint(sset.trace_matrix.T).astype(int)}
+    group = gen.clifford_group()
+    assert len(group) == 11520
+    assert np.all(np.abs(group).sum(axis=1) == 1)  # signed permutations
+    for g in group[::97]:
+        assert {tuple(col) for col in (g @ np.rint(sset.trace_matrix)).astype(int).T} == keys
+
+    # a dual maps to g^T y: the bound it gives t equals the one y gives g t
+    rng = np.random.default_rng(5)
+    rho = sample_hilbert_schmidt(2, rng)
+    y = gen.exact_dual(_solve_robustness(rho, sset).eqlin.marginals)
+    assert y is not None and np.abs(y @ sset.trace_matrix).max() <= DUAL_DENOM
+    for u in magic._gate_set(2):
+        image = gen.orbit(y, gen.pauli_action(u)[None])
+        assert image.shape == (1, 16)
+        moved = DenseOperator(u @ rho.matrix @ u.conj().T)
+        assert abs(image[0] @ rho.trace_table - y @ moved.trace_table) < 1e-9
+    assert len(gen.orbit(y, group)) <= 11520
+    # rows that are not exact multiples of 1/DUAL_DENOM, or are infeasible,
+    # never enter the table
+    assert gen.exact_dual(np.eye(16)[0] / 7) is None
+    assert gen.exact_dual(2 * np.eye(16)[0]) is None
 
 
 def test_appending_a_stabilizer_ancilla_keeps_robustness():
@@ -331,7 +516,7 @@ def test_projection_modes_preserve_cp_for_sampled_channels():
     for _ in range(60):
         rho = sample_hilbert_schmidt(2, rng)
         for mode in ("general", "unital", "trace_preserving", "both"):
-            rec = classify_channel(rho, mode)
+            rec = classify_ptm(project_ptm(ptm_from_choi(rho.matrix), mode))
             assert rec.category in CHANNEL_CATEGORIES
 
 
