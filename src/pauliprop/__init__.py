@@ -31,6 +31,7 @@ from .channels import (
     channel_norm,
     choi_from_ptm,
     choi_matrix,
+    choi_trace_table,
     compose,
     make_adaptive,
     make_clifford,

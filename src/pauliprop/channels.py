@@ -282,6 +282,21 @@ def choi_from_ptm(ptm: PTM) -> ChoiState:
     return ChoiState(ptm.k_in, normalized, postselection_probability(normalized, ptm.k_in))
 
 
+def choi_trace_table(ptm: PTM) -> np.ndarray:
+    """Trace table of the normalized Choi state, read off the PTM: choi_matrix
+    puts R_ij s_j / 4^k on sigma_i^B (x) sigma_j^A, with sigma_j^T = s_j sigma_j
+    (s_j = -1 for an odd number of Y digits in j) and Tr(phi) = R_00, so entry
+    i + 4^k j is R_ij s_j / R_00. Raises NotCompletelyPositiveError wherever
+    choi_from_ptm does."""
+    validate_cp(ptm)
+    r = ptm.matrix
+    if r[0, 0] <= 0:
+        raise NotCompletelyPositiveError("channel annihilates the Bell state; no Choi state")
+    digits = (np.arange(len(r))[:, None] >> (2 * np.arange(ptm.k))) & 3
+    signs = (-1.0) ** (digits == 2).sum(axis=1)
+    return (r * signs).ravel(order="F") / r[0, 0]
+
+
 def ptm_from_choi(normalized: np.ndarray) -> PTM:
     """PTM of the postselective channel with the given normalized Choi state.
 

@@ -6,12 +6,14 @@ et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so its stream
 depends on nothing but the seed and its own index. Each worker runs one
 contiguous range of blocks and the results come back in block order, so a
 caller that reduces them in that order gets bit-identical results for any
-worker count.
+worker count. Underneath is map_blocks, which runs any function of a block
+index that way, over one process pool per call.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -32,38 +34,41 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def fan_out(fn, args: tuple, n_items: int, block_size: int, seed: int,
-            workers: int) -> list:
-    """[fn(*args, count, block_rng(seed, b)) for each block b], in block order.
+def map_blocks(fn, args: tuple, n_blocks: int, workers: int) -> list:
+    """[fn(*args, b) for b in range(n_blocks)], in block order.
 
-    Block b covers items [b * block_size, min((b + 1) * block_size, n_items)).
-    With workers == 1 or fewer than two blocks everything runs in this process
-    and no pool starts; otherwise fn and args are pickled, so fn must be a
-    module-level function.
+    One pool serves the whole call; the blocks go out in at most `workers`
+    contiguous chunks. With workers == 1 or fewer than two blocks everything runs in this
+    process and no pool starts; otherwise fn and args are pickled, so fn must
+    be a module-level function.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if n_items < 0:
-        raise ValueError(f"sample count must be at least 0, got {n_items}")
-    check_seed(seed)
-    n_blocks = -(-n_items // block_size)
     if workers == 1 or n_blocks < 2:
-        return _run_blocks(fn, args, n_items, block_size, seed, range(n_blocks))
+        return [fn(*args, b) for b in range(n_blocks)]
     workers = min(workers, n_blocks)
-    ranges = [range(w * n_blocks // workers, (w + 1) * n_blocks // workers)
-              for w in range(workers)]
     # the default (fork) start method lets workers inherit this process's
     # caches, such as the stabilizer-state enumeration
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_blocks, fn, args, n_items, block_size, seed, r)
-                   for r in ranges]
-        return [out for f in futures for out in f.result()]
+        return list(pool.map(partial(fn, *args), range(n_blocks),
+                             chunksize=-(-n_blocks // workers)))
 
 
-def _run_blocks(fn, args: tuple, n_items: int, block_size: int, seed: int,
-                blocks: range) -> list:
-    out = []
-    for b in blocks:
-        count = min(block_size, n_items - b * block_size)
-        out.append(fn(*args, count, block_rng(seed, b)))
-    return out
+def fan_out(fn, args: tuple, n_items: int, block_size: int, seed: int,
+            workers: int) -> list:
+    """[fn(*args, count, block_rng(seed, b)) for each block b], in block order,
+    spread over `workers` processes by map_blocks.
+
+    Block b covers items [b * block_size, min((b + 1) * block_size, n_items)).
+    """
+    if n_items < 0:
+        raise ValueError(f"sample count must be at least 0, got {n_items}")
+    check_seed(seed)
+    return map_blocks(_seeded_block, (fn, args, n_items, block_size, seed),
+                      -(-n_items // block_size), workers)
+
+
+def _seeded_block(fn, args: tuple, n_items: int, block_size: int, seed: int,
+                  b: int):
+    count = min(block_size, n_items - b * block_size)
+    return fn(*args, count, block_rng(seed, b))

@@ -31,15 +31,11 @@ R = max(1, |b|_1)). The best row y settles an input in one of two ways:
 
 LP solver contract, for the inputs no certificate settles: scipy's HiGHS
 backend (feasibility residual <= 1e-8, optimality gap <= 1e-6); the
-classification threshold 1 + 1e-6 matches. They are solved LP_BATCH at a
-time as one LP whose constraint matrix is block diagonal, one [T, -T] block
-per input. The blocks share no variables and the objective is the plain sum
-of all weights, so any optimum of the stacked LP restricts to an optimum of
-every block, and each input's robustness is the sum of its own slice of the
-solution. HiGHS's feasibility and dual-feasibility tolerances hold per row
-and per column, so every block meets the same contract as a single solve;
-the batch amortizes scipy's per-call overhead, which is most of the cost of
-a 16 x 120 LP. A batch of one takes the dense single-problem path.
+classification threshold 1 + 1e-6 matches. Each such input gets its own
+16 x 120 LP (two qubits), so its value never depends on the batch it came
+in. Few inputs get that far: fig1 and fig3 solve none, a 20000-state census
+14, and a 2000-channel census 0-198 depending on the mode, never more than
+3 in one CENSUS_BLOCK; stacking them into one solve saved no time.
 
 Each classification batch logs one DEBUG record on the "pauliprop" logger
 whose `classify` attribute counts how the batch was settled.
@@ -55,7 +51,6 @@ from importlib.resources import files
 from itertools import product
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog, nnls
 
 from .channels import (
@@ -63,7 +58,7 @@ from .channels import (
     NotCompletelyPositiveError,
     adjoint_norm,
     channel_norm,
-    choi_from_ptm,
+    choi_trace_table,
     ptm_from_choi,
 )
 from .exact import embed_operator
@@ -71,7 +66,6 @@ from .fanout import fan_out
 from .operators import DenseOperator
 
 LP_TOL = 1e-6
-LP_BATCH = 32  # robustness LPs stacked into one block-diagonal solve
 DEDUP_DECIMALS = 9
 DUAL_DENOM = 60  # dual table rows are stored exactly as the integers 60 * y
 # inputs scored against the dual table per product: at this size OpenBLAS
@@ -141,9 +135,10 @@ def enumerate_stabilizer_states(n: int) -> StabilizerSet:
     return StabilizerSet(n, states, trace_matrix)
 
 
-def _split_weights(sset: StabilizerSet) -> np.ndarray:
+def _split_weights(n: int) -> np.ndarray:
     """[T, -T]: the constraint block over the weights q+ and q- of q = q+ - q-."""
-    return np.hstack([sset.trace_matrix, -sset.trace_matrix])
+    trace = enumerate_stabilizer_states(n).trace_matrix
+    return np.hstack([trace, -trace])
 
 
 def _min_weight(a_eq, b_eq):
@@ -160,36 +155,15 @@ def _min_weight(a_eq, b_eq):
     return res
 
 
-def _solve_robustness(rho: DenseOperator, sset: StabilizerSet):
+def _solve_robustness(rho: DenseOperator):
     """One dense LP, no certificates: the reference the tests compare against."""
-    return _min_weight(_split_weights(sset), rho.trace_table)
+    return _min_weight(_split_weights(rho.k), rho.trace_table)
 
 
-def _block_diagonal(block: np.ndarray, size: int) -> sparse.csc_array:
-    """CSC matrix with `size` copies of `block` on its diagonal: copy b's
-    columns are the block's columns shifted down by b * rows."""
-    one = sparse.csc_array(block)
-    rows, cols = block.shape
-    shift = np.arange(size)[:, None]
-    indices = (one.indices + rows * shift).ravel()
-    indptr = np.concatenate([[0], (one.indptr[1:] + one.nnz * shift).ravel()])
-    return sparse.csc_array((np.tile(one.data, size), indices, indptr),
-                            shape=(rows * size, cols * size))
-
-
-def _lp_values(tables: np.ndarray, sset: StabilizerSet) -> np.ndarray:
-    """LP robustness of every trace table (row), LP_BATCH problems per
-    block-diagonal linprog call (see the module docstring)."""
-    block = _split_weights(sset)
-    values = []
-    for start in range(0, len(tables), LP_BATCH):
-        chunk = tables[start:start + LP_BATCH]
-        if len(chunk) == 1:
-            values.append(_min_weight(block, chunk[0]).fun)
-            continue
-        res = _min_weight(_block_diagonal(block, len(chunk)), chunk.ravel())
-        values.extend(res.x.reshape(len(chunk), -1).sum(axis=1))
-    return np.array(values, dtype=float)
+def _lp_values(tables: np.ndarray, n: int) -> np.ndarray:
+    """LP robustness of every n-qubit trace table (row), one LP each."""
+    block = _split_weights(n)
+    return np.array([_min_weight(block, t).fun for t in tables], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -203,6 +177,7 @@ class DualTable:
 def _dual_table(n: int) -> DualTable:
     """The fixed certificate rows for n qubits, the identity row first;
     every row is checked to be feasible in integer arithmetic."""
+    trace = np.rint(enumerate_stabilizer_states(n).trace_matrix).astype(np.int64)
     if n == 1:
         scaled = DUAL_DENOM * np.array([(0, *signs) for signs in product((-1, 1), repeat=3)])
     else:
@@ -211,7 +186,6 @@ def _dual_table(n: int) -> DualTable:
     identity = np.zeros((1, 4**n), dtype=np.int64)
     identity[0, 0] = DUAL_DENOM
     scaled = np.vstack([identity, scaled])
-    trace = np.rint(enumerate_stabilizer_states(n).trace_matrix).astype(np.int64)
     scores = scaled @ trace
     if np.abs(scores).max() > DUAL_DENOM:
         raise RuntimeError("a stored dual row is not feasible for the stabilizer LP")
@@ -222,11 +196,11 @@ def _dual_table(n: int) -> DualTable:
     return table
 
 
-def _robustness(tables: np.ndarray, sset: StabilizerSet, exact: bool) -> np.ndarray:
-    """Robustness of every trace table, certificates first and the LP for
-    the rest (see the module docstring). With exact=False a returned value
-    above 1 + LP_TOL may be a lower bound only. Logs one DEBUG record."""
-    table = _dual_table(sset.n)
+def _robustness(tables: np.ndarray, n: int, exact: bool) -> np.ndarray:
+    """Robustness of every n-qubit trace table, certificates first and the
+    LP for the rest (see the module docstring). With exact=False a returned
+    value above 1 + LP_TOL may be a lower bound only. Logs one DEBUG record."""
+    table = _dual_table(n)
     values = np.full(len(tables), np.nan)
     counts = {"inputs": len(tables), "d_skips": 0, "bound_certs": 0,
               "exact_certs": 0, "lps": 0, "lp_s": 0.0}
@@ -236,10 +210,10 @@ def _robustness(tables: np.ndarray, sset: StabilizerSet, exact: bool) -> np.ndar
             t = chunk[i]
             # scored alone, so that a value never depends on its batch
             value, tight = float(t @ table.rows[best]), table.tight[best]
-            norm = float(np.abs(t).sum()) / 2**sset.n  # the sign(t)/2^n row's score
+            norm = float(np.abs(t).sum()) / 2**n  # the sign(t)/2^n row's score
             if norm > value:
                 signs = np.sign(t).astype(np.int64) @ table.trace
-                value, tight = norm, np.where(np.abs(signs) == 2**sset.n, np.sign(signs), 0)
+                value, tight = norm, np.where(np.abs(signs) == 2**n, np.sign(signs), 0)
             if not exact and not _at_most_one(value):
                 counts["d_skips" if not _at_most_one(norm) else "bound_certs"] += 1
             elif _primal_check(t, value, tight, table.trace):
@@ -250,7 +224,7 @@ def _robustness(tables: np.ndarray, sset: StabilizerSet, exact: bool) -> np.ndar
     open_ = np.flatnonzero(np.isnan(values))
     if len(open_):
         t0 = time.perf_counter()
-        values[open_] = _lp_values(tables[open_], sset)
+        values[open_] = _lp_values(tables[open_], n)
         counts["lps"], counts["lp_s"] = len(open_), time.perf_counter() - t0
     _log.debug("classify batch: %(inputs)d inputs, %(d_skips)d D > 1 skips, "
                "%(bound_certs)d bound certificates, %(exact_certs)d exact "
@@ -268,26 +242,23 @@ def _primal_check(t: np.ndarray, value: float, tight: np.ndarray,
     return residual <= FIT_TOL and abs(weights.sum() - value) <= VALUE_TOL
 
 
-def _trace_tables(ops, sset: StabilizerSet | None) -> tuple[np.ndarray, StabilizerSet]:
-    if sset is None:
-        sset = enumerate_stabilizer_states(ops[0].k if ops else 2)
-    if any(op.k != sset.n for op in ops):
-        raise ValueError("state size does not match the stabilizer set")
-    return np.array([op.trace_table for op in ops]).reshape(len(ops), 4**sset.n), sset
+def _trace_tables(ops) -> tuple[np.ndarray, int]:
+    n = ops[0].k if ops else 2
+    if any(op.k != n for op in ops):
+        raise ValueError("a batch mixes operators on different numbers of qubits")
+    return np.array([op.trace_table for op in ops]).reshape(len(ops), 4**n), n
 
 
-def robustness(rho: DenseOperator, sset: StabilizerSet | None = None) -> float:
+def robustness(rho: DenseOperator) -> float:
     """min sum |q_i| s.t. rho = sum q_i |phi_i><phi_i| (sum q_i = 1 is implied
     by the identity-Pauli constraint)."""
-    return float(robustness_many([rho], sset)[0])
+    return float(robustness_many([rho])[0])
 
 
-def robustness_many(ops, sset: StabilizerSet | None = None) -> np.ndarray:
+def robustness_many(ops) -> np.ndarray:
     """robustness() of every operator in `ops`: exact certificates where
-    they hold, batched LPs for the rest (see the module docstring)."""
-    ops = list(ops)
-    tables, sset = _trace_tables(ops, sset)
-    return _robustness(tables, sset, exact=True)
+    they hold, one LP each for the rest (see the module docstring)."""
+    return _robustness(*_trace_tables(list(ops)), exact=True)
 
 
 def robustness_closed_form_1q(rho: DenseOperator) -> float:
@@ -307,19 +278,18 @@ def _state_category(d: float, r: float) -> str:
     return "stabilizer_mixture" if _at_most_one(r) else "hyper_octahedral_nonstab"
 
 
-def classify_state(rho: DenseOperator, sset: StabilizerSet | None = None) -> str:
+def classify_state(rho: DenseOperator) -> str:
     """stabilizer_mixture iff R <= 1+tol, else hyper-octahedral iff D <= 1+tol,
     else magic."""
-    return classify_states([rho], sset)[0]
+    return classify_states([rho])[0]
 
 
-def classify_states(ops, sset: StabilizerSet | None = None) -> list:
+def classify_states(ops) -> list:
     """classify_state for every operator. A category needs only R <= 1+tol
     or not, so a certified lower bound above 1+tol (D itself, when D > 1+tol)
     settles most states without an exact value or an LP."""
     ops = list(ops)
-    tables, sset = _trace_tables(ops, sset)
-    values = _robustness(tables, sset, exact=False)
+    values = _robustness(*_trace_tables(ops), exact=False)
     return [_state_category(op.stabilizer_norm, r) for op, r in zip(ops, values)]
 
 
@@ -361,16 +331,13 @@ def project_ptm(ptm: PTM, mode: str) -> PTM:
     return PTM(m)
 
 
-def classify_ptm(ptm: PTM, sset: StabilizerSet | None = None) -> ClassificationRecord:
+def classify_ptm(ptm: PTM) -> ClassificationRecord:
     """Classify a qubit channel given directly by its PTM.
 
     Raises NotCompletelyPositiveError when the PTM has no Choi state
     (possible after projection); callers tally those as invalid.
     """
-    rec = _classify_ptms([ptm], sset)[0]
-    if isinstance(rec, NotCompletelyPositiveError):
-        raise rec
-    return rec
+    return _channel_record(ptm, float(_robustness(_choi_table(ptm)[None], 2, exact=True)[0]))
 
 
 def _channel_record(ptm: PTM, r: float) -> ClassificationRecord:
@@ -381,26 +348,25 @@ def _channel_record(ptm: PTM, r: float) -> ClassificationRecord:
     return ClassificationRecord(d_fwd, d_adj, r, letters or "M")
 
 
-def classify_ptms(ptms, sset: StabilizerSet | None = None) -> list:
+def classify_ptms(ptms) -> list:
     """classify_ptm for every PTM, with the Choi-state robustness values
-    taken by robustness_many; the entry of a PTM with no Choi state is None."""
-    return [None if isinstance(rec, NotCompletelyPositiveError) else rec
-            for rec in _classify_ptms(ptms, sset)]
-
-
-def _classify_ptms(ptms, sset: StabilizerSet | None) -> list:
-    """A record per PTM, or the NotCompletelyPositiveError its Choi state raised."""
-    ptms = list(ptms)
-    chois = []
+    taken in one batch; the entry of a PTM with no Choi state is None."""
+    ptms, tables = list(ptms), []
     for ptm in ptms:
         try:
-            chois.append(DenseOperator(choi_from_ptm(ptm).matrix))
-        except NotCompletelyPositiveError as err:
-            chois.append(err)
-    values = iter(robustness_many([c for c in chois if isinstance(c, DenseOperator)],
-                                  sset).tolist())
-    return [choi if isinstance(choi, NotCompletelyPositiveError)
-            else _channel_record(ptm, next(values)) for ptm, choi in zip(ptms, chois)]
+            tables.append(_choi_table(ptm))
+        except NotCompletelyPositiveError:
+            tables.append(None)
+    valid = [t for t in tables if t is not None]
+    values = iter(_robustness(np.reshape(valid, (len(valid), 16)), 2, exact=True).tolist())
+    return [None if t is None else _channel_record(ptm, next(values))
+            for ptm, t in zip(ptms, tables)]
+
+
+def _choi_table(ptm: PTM) -> np.ndarray:
+    if ptm.k != 1:
+        raise ValueError("channel classification takes single-qubit channels")
+    return choi_trace_table(ptm)
 
 
 @dataclass(frozen=True)

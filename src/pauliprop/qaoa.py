@@ -27,7 +27,7 @@ import numpy as np
 
 from .channels import ChannelApplication, make_unitary_ptm
 from .exact import run_exact
-from .fanout import SEED_LIMIT, check_seed, fan_out
+from .fanout import SEED_LIMIT, check_seed, fan_out, map_blocks
 from .operators import DenseOperator, FactoredState, plus_state
 from .propagation import Circuit, estimate, hoeffding_epsilon
 
@@ -216,19 +216,27 @@ def heisenberg_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int
 
     Returns (estimate, engine_epsilon): the second value is the triangle
     combination of each term's own Hoeffding epsilon, a valid bound even when
-    the relaxed degree cap makes the closed-form exponent optimistic.
+    the relaxed degree cap makes the closed-form exponent optimistic. The
+    terms run spread over `workers` processes, each term's estimate in one.
     """
     check_seed(seed)
     weights = term_weights(inst)
+    terms = map_blocks(_term_estimate, (inst, params, n_samples, delta, seed, lightcone),
+                         inst.m, workers)
     total = 0.0
     eps = 0.0
-    for term in range(inst.m):
-        circ = build_term_circuit(inst, params, term, lightcone)
-        rep = estimate(circ, "heisenberg", n_samples, delta=delta,
-                       seed=_term_seed(seed, term), workers=workers)
-        total += weights[term] * rep.mean
-        eps += abs(weights[term]) * rep.epsilon
+    for weight, (mean, epsilon) in zip(weights, terms):
+        total += weight * mean
+        eps += abs(weight) * epsilon
     return total, eps
+
+
+def _term_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
+                   delta: float, seed: int, lightcone: bool, term: int) -> tuple[float, float]:
+    """(mean, epsilon) of one term; the terms are what gets spread over workers."""
+    rep = estimate(build_term_circuit(inst, params, term, lightcone), "heisenberg",
+                   n_samples, delta=delta, seed=_term_seed(seed, term))
+    return rep.mean, rep.epsilon
 
 
 def exact_expectation(inst: E3Lin2Instance, params: QaoaParams) -> float:

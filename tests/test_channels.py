@@ -16,6 +16,7 @@ from pauliprop.channels import (
     channel_norm,
     choi_from_ptm,
     choi_matrix,
+    choi_trace_table,
     compose,
     make_adaptive,
     make_clifford,
@@ -29,7 +30,7 @@ from pauliprop.channels import (
     validate_cp,
 )
 from pauliprop.exact import kraus_to_ptm
-from pauliprop.operators import DenseOperator, h_state, t_state
+from pauliprop.operators import DenseOperator, coeffs_from_matrix, h_state, t_state
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 S = np.diag([1, 1j]).astype(complex)
@@ -245,6 +246,42 @@ def test_choi_round_trip_on_library_channels():
     for ptm in cases:
         back = ptm_from_choi(choi_from_ptm(ptm).matrix)
         np.testing.assert_allclose(back.matrix, ptm.matrix, atol=1e-12)
+
+
+def test_choi_trace_table_matches_the_choi_state():
+    from pauliprop.magic import MODES, project_ptm, sample_hilbert_schmidt
+
+    rng = np.random.default_rng(17)
+    checked = 0
+    for mode in MODES:
+        for _ in range(50):
+            ptm = project_ptm(ptm_from_choi(sample_hilbert_schmidt(2, rng).matrix), mode)
+            try:
+                want = DenseOperator(choi_from_ptm(ptm).matrix).trace_table
+            except NotCompletelyPositiveError:
+                with pytest.raises(NotCompletelyPositiveError):
+                    choi_trace_table(ptm)
+                continue
+            np.testing.assert_allclose(choi_trace_table(ptm), want, rtol=0, atol=1e-14)
+            checked += 1
+    assert checked > 150
+    # two qubits: the Y-digit signs count both digits of the input Pauli
+    ptm = compose(make_clifford("cnot"), PTM(np.kron(make_rotation(0.3).matrix,
+                                                     make_depolarizing(0.5).matrix)))
+    phi = choi_matrix(ptm)
+    want = 16 * coeffs_from_matrix(phi / np.trace(phi).real, 4)
+    np.testing.assert_allclose(choi_trace_table(ptm), want, rtol=0, atol=1e-14)
+
+
+def test_choi_trace_table_rejects_what_choi_from_ptm_rejects():
+    for ptm in (PTM(np.diag([1.0, 1.0, -1.0, 1.0])), PTM(np.zeros((4, 4)))):
+        with pytest.raises(NotCompletelyPositiveError) as want:
+            choi_from_ptm(ptm)
+        with pytest.raises(NotCompletelyPositiveError) as got:
+            choi_trace_table(ptm)
+        assert ("annihilates" in str(got.value)) == ("annihilates" in str(want.value))
+    with pytest.raises(ValueError):
+        choi_trace_table(PTM(np.ones((16, 4)) / 16))
 
 
 def test_postselection_probability_examples():

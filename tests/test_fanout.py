@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pauliprop import cli
+from pauliprop import cli, fanout
 from pauliprop.channels import (
     ChannelApplication,
     make_clifford,
@@ -14,7 +14,13 @@ from pauliprop.fanout import block_rng, fan_out
 from pauliprop.magic import classification_census, state_census
 from pauliprop.operators import DenseOperator, FactoredState, h_state, pauli_matrix, t_state
 from pauliprop.propagation import BATCH_SIZE, Circuit, estimate
-from pauliprop.qaoa import QaoaParams, _VDN_BATCH, generate_instance, vdn_estimate
+from pauliprop.qaoa import (
+    QaoaParams,
+    _VDN_BATCH,
+    generate_instance,
+    heisenberg_estimate,
+    vdn_estimate,
+)
 
 WORKERS = (1, 2, 3)
 
@@ -99,6 +105,31 @@ def test_vdn_estimate_is_worker_count_invariant():
     values = [vdn_estimate(inst, params, _VDN_BATCH + 500, seed=5, workers=w)
               for w in WORKERS]
     assert values[1] == values[0] and values[2] == values[0]
+
+
+def test_heisenberg_estimate_is_worker_count_invariant():
+    inst = generate_instance(8, 10, np.random.default_rng(3))
+    params = QaoaParams(gamma=0.4)
+    results = [heisenberg_estimate(inst, params, BATCH_SIZE + 10, seed=9, workers=w)
+               for w in WORKERS]
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_heisenberg_estimate_starts_one_pool(monkeypatch):
+    starts = []
+
+    class CountingPool(fanout.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fanout, "ProcessPoolExecutor", CountingPool)
+    inst = generate_instance(8, 10, np.random.default_rng(3))
+    # two blocks per term, so a pool per term would start ten pools
+    heisenberg_estimate(inst, QaoaParams(gamma=0.4), BATCH_SIZE + 10, seed=9, workers=2)
+    assert starts == [2]
+    heisenberg_estimate(inst, QaoaParams(gamma=0.4), 100, seed=9, workers=1)
+    assert starts == [2]
 
 
 def test_census_csv_rows_are_worker_count_invariant(tmp_path, capsys):

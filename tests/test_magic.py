@@ -13,8 +13,8 @@ from pauliprop.channels import (
     adjoint,
     adjoint_norm,
     channel_norm,
-    choi_from_ptm,
     choi_matrix,
+    choi_trace_table,
     compose,
     make_adaptive,
     make_clifford,
@@ -27,7 +27,6 @@ from pauliprop.channels import (
 from pauliprop.magic import (
     CHANNEL_CATEGORIES,
     DUAL_DENOM,
-    LP_BATCH,
     LP_TOL,
     MODES,
     STATE_CATEGORIES,
@@ -86,24 +85,32 @@ def test_robustness_known_values():
     assert abs(robustness(t_state()) - math.sqrt(2)) < LP_TOL
 
 
-def test_robustness_rejects_mismatched_set():
-    with pytest.raises(ValueError, match="does not match"):
-        robustness(zero_state(), enumerate_stabilizer_states(2))
+def test_robustness_rejects_a_mixed_size_batch():
+    with pytest.raises(ValueError, match="different numbers of qubits"):
+        robustness_many([zero_state(), maximally_mixed(2)])
+    with pytest.raises(ValueError, match="different numbers of qubits"):
+        classify_states([maximally_mixed(2), zero_state()])
+
+
+def test_classify_ptm_rejects_multi_qubit_channels():
+    with pytest.raises(ValueError, match="single-qubit"):
+        classify_ptm(make_clifford("cnot"))
+    with pytest.raises(ValueError, match="single-qubit"):
+        classify_ptms([make_clifford("h"), make_clifford("cz")])
 
 
 def test_closed_form_matches_lp_on_random_qubit_states():
     rng = np.random.default_rng(21)
-    sset = enumerate_stabilizer_states(1)
     for _ in range(200):
         rho = sample_hilbert_schmidt(1, rng)
-        lp = robustness(rho, sset)
+        lp = robustness(rho)
         assert abs(lp - robustness_closed_form_1q(rho)) < 1e-6
 
 
 def test_lp_solution_carries_a_duality_certificate():
     sset = enumerate_stabilizer_states(1)
     for rho in (h_state(), t_state(), zero_state()):
-        res = _solve_robustness(rho, sset)
+        res = _solve_robustness(rho)
         count = len(sset.states)
         q = res.x[:count] - res.x[count:]
         np.testing.assert_allclose(sset.trace_matrix @ q, rho.trace_table,
@@ -117,14 +124,14 @@ def test_lp_solution_carries_a_duality_certificate():
                    abs(y @ rho.trace_table + res.fun)) < 1e-7
 
 
-def _oracle_values(ops, sset):
-    return np.array([_solve_robustness(op, sset).fun for op in ops])
+def _oracle_values(ops):
+    return np.array([_solve_robustness(op).fun for op in ops])
 
 
-def _lp_category(op, sset):
+def _lp_category(op):
     if op.stabilizer_norm > 1 + LP_TOL:
         return "magic"
-    if _solve_robustness(op, sset).fun <= 1 + LP_TOL:
+    if _solve_robustness(op).fun <= 1 + LP_TOL:
         return "stabilizer_mixture"
     return "hyper_octahedral_nonstab"
 
@@ -132,25 +139,21 @@ def _lp_category(op, sset):
 def test_batched_robustness_matches_single(monkeypatch):
     for n in (1, 2):
         rng = np.random.default_rng(40 + n)
-        sset = enumerate_stabilizer_states(n)
-        for length in (0, 1, LP_BATCH, LP_BATCH + 1):
+        for length in (0, 1, 32, 33):
             ops = [sample_hilbert_schmidt(n, rng) for _ in range(length)]
-            got = robustness_many(ops, sset)
+            got = robustness_many(ops)
             assert got.shape == (length,)
-            np.testing.assert_allclose(got, _oracle_values(ops, sset), rtol=0, atol=1e-9)
+            np.testing.assert_allclose(got, _oracle_values(ops), rtol=0, atol=1e-9)
             if n == 1:
                 closed = [robustness_closed_form_1q(op) for op in ops]
                 np.testing.assert_allclose(got, closed, rtol=0, atol=1e-9)
     # one state at two offsets of the same chunk, among different neighbours
     rng = np.random.default_rng(7)
-    sset = enumerate_stabilizer_states(2)
     ops = [sample_hilbert_schmidt(2, rng) for _ in range(6)]
     got = robustness_many([ops[0], *ops[1:4], ops[0], *ops[4:]])
     assert abs(got[0] - got[4]) < 1e-12
-    np.testing.assert_allclose(got[[0, 1, 2, 3, 5, 6]], _oracle_values(ops, sset),
+    np.testing.assert_allclose(got[[0, 1, 2, 3, 5, 6]], _oracle_values(ops),
                                rtol=0, atol=1e-9)
-    with pytest.raises(ValueError, match="does not match"):
-        robustness_many(ops, enumerate_stabilizer_states(1))
 
     # the LP stage, which takes the inputs no certificate settles
     tables = np.array([op.trace_table for op in ops * 6])
@@ -162,8 +165,8 @@ def test_batched_robustness_matches_single(monkeypatch):
         return real_linprog(*args, **kwargs)
 
     monkeypatch.setattr(magic, "linprog", counting)
-    magic._lp_values(tables, sset)  # 36 problems: one chunk of LP_BATCH, one of 4
-    assert calls == [(16 * LP_BATCH, 120 * LP_BATCH), (16 * 4, 120 * 4)]
+    magic._lp_values(tables, 2)  # 36 problems: one 16 x 120 LP each
+    assert calls == [(16, 120)] * 36
 
     class Failed:
         status, message = 2, "The problem is infeasible."
@@ -171,41 +174,40 @@ def test_batched_robustness_matches_single(monkeypatch):
     monkeypatch.setattr(magic, "linprog", lambda *args, **kwargs: Failed())
     for length in (1, 2):
         with pytest.raises(RuntimeError, match="robustness LP failed"):
-            magic._lp_values(tables[:length], sset)
+            magic._lp_values(tables[:length], 2)
 
 
 def test_batched_classifiers_match_single():
     rng = np.random.default_rng(12)
-    sset = enumerate_stabilizer_states(2)
     states = [sample_hilbert_schmidt(2, rng) for _ in range(40)]
     states += [DenseOperator(np.kron(np.eye(2) / 2, h_state().matrix)),
                maximally_mixed(2), DenseOperator(np.kron(t_state().matrix, t_state().matrix))]
-    got = classify_states(states, sset)
-    assert got == [_lp_category(op, sset) for op in states]
-    assert got == [classify_state(op, sset) for op in states]
+    got = classify_states(states)
+    assert got == [_lp_category(op) for op in states]
+    assert got == [classify_state(op) for op in states]
     assert set(got) == set(STATE_CATEGORIES)
-    assert classify_states([], sset) == []
+    assert classify_states([]) == []
 
     ptms = [ptm_from_choi(op.matrix) for op in states[:12]]
     ptms += [make_rotation(math.pi / 4), make_reset(h_state()),
              PTM(np.diag([1.0, 1.0, -1.0, 1.0])), make_clifford("h"),
              PTM(np.zeros((4, 4))), adjoint(make_reset(zero_state()))]
-    records = classify_ptms(ptms, sset)
+    records = classify_ptms(ptms)
     for ptm, rec in zip(ptms, records):
         try:
-            choi = DenseOperator(choi_from_ptm(ptm).matrix)
+            table = choi_trace_table(ptm)
         except NotCompletelyPositiveError:
             assert rec is None
             with pytest.raises(NotCompletelyPositiveError):
-                classify_ptm(ptm, sset)
+                classify_ptm(ptm)
             continue
-        r = _solve_robustness(choi, sset).fun
+        r = magic._lp_values(table[None], 2)[0]
         d_fwd, d_adj = channel_norm(ptm), adjoint_norm(ptm)
         letters = "".join(letter for letter, value in (("C", r), ("S", d_fwd), ("H", d_adj))
                           if value <= 1 + LP_TOL)
         assert (rec.category, rec.d_forward, rec.d_adjoint) == (letters or "M", d_fwd, d_adj)
         assert abs(rec.robustness - r) < 1e-9
-        single = classify_ptm(ptm, sset)
+        single = classify_ptm(ptm)
         assert single.category == rec.category
         assert abs(single.robustness - rec.robustness) < 1e-9
     assert [rec is None for rec in records].count(True) == 2
@@ -220,6 +222,24 @@ def test_batched_classifiers_accept_generators():
     assert len(classify_ptms(p for p in ptms)) == 9
     np.testing.assert_array_equal(robustness_many(op for op in states),
                                   robustness_many(states))
+
+
+def test_uncertified_values_do_not_depend_on_the_batch(caplog):
+    """An input that no certificate settles gets the same LP value, to the
+    last bit, alone and in any batch."""
+    rng = np.random.default_rng(61)
+    open_, settled = [], []
+    with caplog.at_level(logging.DEBUG, logger="pauliprop"):
+        while len(open_) < 24:
+            op = sample_hilbert_schmidt(2, rng)
+            caplog.clear()
+            value = robustness(op)
+            (open_ if caplog.records[-1].classify["lps"] else settled).append((op, value))
+    ops, alone = [op for op, _ in open_], [value for _, value in open_]
+    assert robustness_many(ops).tolist() == alone
+    assert robustness_many(ops[::-1]).tolist() == alone[::-1]
+    mixed = [pair for two in zip(open_, settled) for pair in two]
+    assert robustness_many(op for op, _ in mixed).tolist() == [value for _, value in mixed]
 
 
 def test_one_qubit_table_settles_every_input(monkeypatch):
@@ -272,43 +292,42 @@ def test_certified_categories_match_lp_on_10k_states():
     """Categories equal the LP-only path, and no state the LP calls a
     stabilizer mixture gets a lower bound above 1 + LP_TOL."""
     rng = np.random.default_rng(2024)
-    sset = enumerate_stabilizer_states(2)
     states = [sample_hilbert_schmidt(2, rng) for _ in range(10_000)]
     tables = np.array([op.trace_table for op in states])
     norms = np.array([op.stabilizer_norm for op in states])
     lp = np.full(len(states), np.inf)
     near = norms <= 1 + LP_TOL
-    lp[near] = magic._lp_values(tables[near], sset)
+    lp[near] = magic._lp_values(tables[near], 2)
     want = ["magic" if d > 1 + LP_TOL else
             "stabilizer_mixture" if r <= 1 + LP_TOL else "hyper_octahedral_nonstab"
             for d, r in zip(norms, lp)]
-    assert classify_states(states, sset) == want
-    bounds = magic._robustness(tables, sset, exact=False)
+    assert classify_states(states) == want
+    bounds = magic._robustness(tables, 2, exact=False)
     members = lp <= 1 + LP_TOL
     assert members.sum() > 50
     assert np.all(bounds[members] <= 1 + LP_TOL)
 
 
 def test_certified_values_match_lp_per_mode(caplog):
-    sset = enumerate_stabilizer_states(2)
     for m, mode in enumerate(MODES):
         rng = np.random.default_rng(300 + m)
-        chois = []
-        while len(chois) < 1000:
+        ptms, tables = [], []
+        while len(ptms) < 1000:
             ptm = project_ptm(ptm_from_choi(sample_hilbert_schmidt(2, rng).matrix), mode)
             try:
-                chois.append(DenseOperator(choi_from_ptm(ptm).matrix))
+                tables.append(choi_trace_table(ptm))
             except NotCompletelyPositiveError:
                 continue
-        want = _oracle_values(chois, sset)
+            ptms.append(ptm)
+        tables = np.array(tables)
+        want = magic._lp_values(tables, 2)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="pauliprop"):
-            got = robustness_many(chois, sset)
+            got = [rec.robustness for rec in classify_ptms(ptms)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
         counts = caplog.records[-1].classify
         assert counts["exact_certs"] >= 500, (mode, counts)
-        bounds = magic._robustness(np.array([c.trace_table for c in chois]), sset,
-                                   exact=False)
+        bounds = magic._robustness(tables, 2, exact=False)
         assert np.all(bounds[want <= 1 + LP_TOL] <= 1 + LP_TOL)
 
 
@@ -352,7 +371,7 @@ def test_table_generator_steps():
     # a dual maps to g^T y: the bound it gives t equals the one y gives g t
     rng = np.random.default_rng(5)
     rho = sample_hilbert_schmidt(2, rng)
-    y = gen.exact_dual(_solve_robustness(rho, sset).eqlin.marginals)
+    y = gen.exact_dual(_solve_robustness(rho).eqlin.marginals)
     assert y is not None and np.abs(y @ sset.trace_matrix).max() <= DUAL_DENOM
     for u in magic._gate_set(2):
         image = gen.orbit(y, gen.pauli_action(u)[None])
@@ -383,10 +402,9 @@ def test_classify_state_examples():
 
 def test_single_qubit_states_are_never_hyper_octahedral():
     rng = np.random.default_rng(33)
-    sset = enumerate_stabilizer_states(1)
     seen = set()
     for _ in range(200):
-        cat = classify_state(sample_hilbert_schmidt(1, rng), sset)
+        cat = classify_state(sample_hilbert_schmidt(1, rng))
         seen.add(cat)
         assert cat != "hyper_octahedral_nonstab"
     assert seen == {"stabilizer_mixture", "magic"}
@@ -446,9 +464,8 @@ def test_channel_category_examples():
         (adjoint(make_reset(h_state())), "S"),
         (adjoint(make_reset(zero_state())), "CS"),
     ]
-    sset = enumerate_stabilizer_states(2)
     for ptm, want in cases:
-        rec = classify_ptm(ptm, sset)
+        rec = classify_ptm(ptm)
         assert rec.category == want, (want, rec)
     assert set(CHANNEL_CATEGORIES) >= {want for _, want in cases}
 
@@ -466,12 +483,11 @@ _MIRROR = {"M": "M", "C": "C", "S": "H", "H": "S", "CS": "CH", "CH": "CS",
 
 def test_adjoint_mirror_swaps_s_and_h():
     rng = np.random.default_rng(55)
-    sset = enumerate_stabilizer_states(2)
     for _ in range(100):
         rho = sample_hilbert_schmidt(2, rng)
         ptm = ptm_from_choi(rho.matrix)
-        rec = classify_ptm(ptm, sset)
-        mirrored = classify_ptm(adjoint(ptm), sset)
+        rec = classify_ptm(ptm)
+        mirrored = classify_ptm(adjoint(ptm))
         assert mirrored.category == _MIRROR[rec.category]
         assert mirrored.d_forward == rec.d_adjoint
         assert mirrored.d_adjoint == rec.d_forward

@@ -36,7 +36,7 @@ import numpy as np
 from pauliprop.channels import (
     NotCompletelyPositiveError,
     adjoint,
-    choi_from_ptm,
+    choi_trace_table,
     compose,
     make_depolarizing,
     make_rotation,
@@ -54,7 +54,6 @@ from pauliprop.magic import (
     project_ptm,
     sample_hilbert_schmidt,
 )
-from pauliprop.operators import DenseOperator
 
 OUT = Path(__file__).resolve().parents[1] / "src/pauliprop/data/stabilizer_duals_2q.txt"
 FAMILIES = ("state", *MODES, "adjoint", "rotation")
@@ -81,7 +80,7 @@ def family_tables(family: str, count: int, rng) -> np.ndarray:
             ptm = ptm_from_choi(rho.matrix)
             ptm = adjoint(ptm) if family == "adjoint" else project_ptm(ptm, family)
         try:
-            out.append(DenseOperator(choi_from_ptm(ptm).matrix).trace_table)
+            out.append(choi_trace_table(ptm))
         except NotCompletelyPositiveError:
             continue
     return np.array(out)
@@ -147,7 +146,7 @@ def prune(rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
 
 
 def build() -> np.ndarray:
-    block = _split_weights(enumerate_stabilizer_states(2))
+    block = _split_weights(2)
     duals = []
     for f, family in enumerate(FAMILIES):
         for t in family_tables(family, TRAIN, block_rng(TRAIN_SEED, f)):
