@@ -2,7 +2,7 @@
 
 The PTM of a channel Lambda on k qubits is the real matrix
 
-    R_ij = 2^{-k_out} Tr(sigma_i Lambda(sigma_j)),
+    R_ij = 2^{-k} Tr(sigma_i Lambda(sigma_j)),
 
 index 0 being the identity Pauli; columns are the Pauli coefficient vectors
 of Lambda(sigma_j). The channel stabilizer norm D(Lambda) is the largest
@@ -29,37 +29,21 @@ class NotCompletelyPositiveError(ValueError):
 
 
 class PTM:
-    """Pauli Transfer Matrix; shape 4^{k_out} x 4^{k_in}, immutable."""
+    """Pauli Transfer Matrix of a channel on k qubits; shape 4^k x 4^k, immutable."""
 
-    def __init__(self, matrix, k_in: int | None = None, k_out: int | None = None):
+    def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError("PTM must be a matrix")
-        rows, cols = matrix.shape
-        k_out = _infer_k(rows) if k_out is None else k_out
-        k_in = _infer_k(cols) if k_in is None else k_in
-        if (4**k_out, 4**k_in) != matrix.shape:
-            raise ValueError(f"shape {matrix.shape} inconsistent with k_in={k_in}, k_out={k_out}")
-        self.k_in = k_in
-        self.k_out = k_out
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"PTM must be a square matrix, got shape {matrix.shape}")
+        k = max((len(matrix).bit_length() - 1) // 2, 0)
+        if 4**k != len(matrix):
+            raise ValueError(f"PTM dimension {len(matrix)} is not a power of 4")
+        self.k = k
         self.matrix = matrix.copy()
         self.matrix.setflags(write=False)
 
-    @property
-    def k(self) -> int:
-        if self.k_in != self.k_out:
-            raise ValueError("rectangular PTM has no single k")
-        return self.k_in
-
     def __repr__(self):
-        return f"PTM(k_in={self.k_in}, k_out={self.k_out})"
-
-
-def _infer_k(dim: int) -> int:
-    k = max((dim.bit_length() - 1) // 2, 0)
-    if 4**k != dim:
-        raise ValueError(f"PTM dimension {dim} is not a power of 4")
-    return k
+        return f"PTM(k={self.k})"
 
 
 @dataclass(frozen=True)
@@ -71,10 +55,8 @@ class ChannelApplication:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        if self.ptm.k_in != self.ptm.k_out:
-            raise ValueError("in-circuit channels need k_in = k_out")
-        if len(self.qubits) != self.ptm.k_in:
-            raise ValueError(f"{len(self.qubits)} qubits for a k={self.ptm.k_in} channel")
+        if len(self.qubits) != self.ptm.k:
+            raise ValueError(f"{len(self.qubits)} qubits for a k={self.ptm.k} channel")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("duplicate qubits in channel application")
 
@@ -85,7 +67,7 @@ def channel_norm(ptm: PTM) -> float:
 
 
 def adjoint(ptm: PTM) -> PTM:
-    return PTM(ptm.matrix.T, k_in=ptm.k_out, k_out=ptm.k_in)
+    return PTM(ptm.matrix.T)
 
 
 def adjoint_norm(ptm: PTM) -> float:
@@ -94,10 +76,8 @@ def adjoint_norm(ptm: PTM) -> float:
 
 
 def compose(a: PTM, b: PTM) -> PTM:
-    """PTM of (a after b): matrix product a.R @ b.R."""
-    if a.k_in != b.k_out:
-        raise ValueError(f"cannot compose k_in={a.k_in} after k_out={b.k_out}")
-    return PTM(a.matrix @ b.matrix, k_in=b.k_in, k_out=a.k_out)
+    """PTM of (a after b): matrix product a.R @ b.R (ValueError if k differs)."""
+    return PTM(a.matrix @ b.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +171,7 @@ def make_adaptive(inner: PTM) -> PTM:
     blocks (1/2)(delta_ij + R_ij) when control in = control out, and
     (1/2)(delta_ij - R_ij) otherwise.
     """
-    k = inner.k  # requires square inner
+    k = inner.k
     size = 4**k
     r = np.zeros((4 * size, 4 * size))
     delta = np.eye(size)
@@ -246,9 +226,7 @@ def choi_matrix(ptm: PTM) -> np.ndarray:
     Using |Bell><Bell| = 4^{-k} sum_j sigma_j (x) sigma_j^T:
     phi = 4^{-k} sum_ij R_ij sigma_i^B (x) (sigma_j^T)^A.
     """
-    k = ptm.k_in
-    if ptm.k_out != k:
-        raise ValueError("Choi construction here expects k_in = k_out")
+    k = ptm.k
     basis = pauli_basis(k)
     # layout: B side on low qubits, so the A-side factor is the left kron arg
     phi = np.einsum("ij,jdc,iab->cadb", ptm.matrix, basis, basis)
@@ -279,7 +257,7 @@ def choi_from_ptm(ptm: PTM) -> ChoiState:
     if trace <= 0:
         raise NotCompletelyPositiveError("channel annihilates the Bell state; no Choi state")
     normalized = phi / trace
-    return ChoiState(ptm.k_in, normalized, postselection_probability(normalized, ptm.k_in))
+    return ChoiState(ptm.k, normalized, postselection_probability(normalized, ptm.k))
 
 
 def choi_trace_table(ptm: PTM) -> np.ndarray:

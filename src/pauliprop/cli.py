@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -39,13 +38,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_OVERFLOW = 4
 EXIT_ORACLE = 5
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("PAULIPROP_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(report: dict, output: str | None):
@@ -182,7 +174,12 @@ _FIGURE_DEFAULT_SAMPLES = {"fig2": 10_000, "fig5": 2_500, "fig6": 100_000}
 
 
 def _cmd_figures(args) -> int:
-    samples = args.samples or _FIGURE_DEFAULT_SAMPLES.get(args.which, 0)
+    samples = args.samples
+    if samples is None:
+        samples = _FIGURE_DEFAULT_SAMPLES.get(args.which, 0)
+    if args.which in _FIGURE_DEFAULT_SAMPLES and samples < 1:
+        # fig2 and fig5 divide by the count
+        raise ValueError(f"sample count must be at least 1, got {samples}")
     if args.which == "fig1":
         header, rows = _fig1_rows(args.grid)
     elif args.which == "fig2":
@@ -290,8 +287,8 @@ def _add_common(p, seed_required=True):
     p.add_argument("--seed", type=int, required=seed_required,
                    help="RNG seed in [0, 2**64); results are deterministic per seed, "
                         "whatever the worker count")
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="worker process count (default $PAULIPROP_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker process count (default 1)")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
 
 

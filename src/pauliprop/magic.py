@@ -59,14 +59,13 @@ from .channels import (
     adjoint_norm,
     channel_norm,
     choi_trace_table,
+    make_clifford,
     ptm_from_choi,
 )
-from .exact import embed_operator
 from .fanout import fan_out
 from .operators import DenseOperator
 
 LP_TOL = 1e-6
-DEDUP_DECIMALS = 9
 DUAL_DENOM = 60  # dual table rows are stored exactly as the integers 60 * y
 # inputs scored against the dual table per product: at this size OpenBLAS
 # runs it on one thread, whose cost does not jump when workers share cores
@@ -84,54 +83,52 @@ _log = logging.getLogger("pauliprop")
 class StabilizerSet:
     n: int
     states: tuple  # DenseOperator per pure stabilizer state
-    trace_matrix: np.ndarray  # (4^n, count): column s holds Tr(sigma_i phi_s)
+    trace_matrix: np.ndarray  # (4^n, count) int64: column s holds Tr(sigma_i phi_s)
 
 
-def _gate_set(n: int):
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    s = np.diag([1, 1j]).astype(complex)
-    cnot = np.zeros((4, 4), dtype=complex)
-    for b in range(4):
-        q0, q1 = b & 1, (b >> 1) & 1
-        cnot[q0 + 2 * (q1 ^ q0), b] = 1
-    gates = []
-    for q in range(n):
-        gates.append(embed_operator(h, (q,), n))
-        gates.append(embed_operator(s, (q,), n))
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                gates.append(embed_operator(cnot, (a, b), n))
-    return gates
+def _clifford_generators(n: int) -> list:
+    """The make_clifford PTMs of H and S on each qubit, then of CNOT on each
+    ordered pair, on n qubits as int64 signed permutations: H0, S0, H1, S1,
+    CNOT(0->1), CNOT(1->0) for two qubits."""
+    h, s = (make_clifford(name).matrix.astype(np.int64) for name in ("h", "s"))
+    gens = [np.kron(np.eye(4 ** (n - 1 - q), dtype=np.int64),
+                    np.kron(g, np.eye(4**q, dtype=np.int64)))  # qubit q is digit q
+            for q in range(n) for g in (h, s)]
+    if n == 2:
+        cnot = make_clifford("cnot").matrix.astype(np.int64)
+        swap = np.arange(16).reshape(4, 4).T.ravel()  # index with the two digits swapped
+        gens += [cnot, cnot[np.ix_(swap, swap)]]
+    return gens
 
 
 @lru_cache(maxsize=None)
 def enumerate_stabilizer_states(n: int) -> StabilizerSet:
-    """Orbit of |0...0> under H, S, CNOT, deduplicated by density matrix.
+    """Orbit of |0...0> under H, S and CNOT, walked on trace tables.
 
-    Stabilizer-state Pauli traces are exactly 0 or +-1, so rounding the
-    trace vector gives an exact dedup key. Counts: 6 (n=1), 60 (n=2).
+    Stabilizer-state Pauli traces are 0 or +-1 and the Clifford PTMs are
+    signed permutations, so the tables stay exact integers and dedupe by
+    equality. Counts: 6 (n=1), 60 (n=2).
     """
     if n not in (1, 2):
         raise ValueError("stabilizer enumeration supports n in {1, 2} only")
-    gates = _gate_set(n)
-    start = np.zeros(2**n, dtype=complex)
-    start[0] = 1.0
+    gates = _clifford_generators(n)
+    start = np.ones(1, dtype=np.int64)
+    for _ in range(n):
+        start = np.kron(start, [1, 0, 0, 1])  # |0><0| has trace 1 on I and Z
     frontier = [start]
     seen = {}
     while frontier:
         nxt = []
-        for vec in frontier:
-            rho = np.outer(vec, vec.conj())
-            op = DenseOperator(rho)
-            key = tuple(np.round(op.trace_table, DEDUP_DECIMALS))
+        for table in frontier:
+            key = table.tobytes()
             if key in seen:
                 continue
-            seen[key] = op
-            nxt.extend(g @ vec for g in gates)
+            seen[key] = table
+            nxt.extend(g @ table for g in gates)
         frontier = nxt
-    states = tuple(seen.values())
-    trace_matrix = np.column_stack([op.trace_table for op in states])
+    trace_matrix = np.column_stack(list(seen.values()))
+    trace_matrix.setflags(write=False)  # shared by every caller through the cache
+    states = tuple(DenseOperator.from_coeffs(t / 2**n, n) for t in trace_matrix.T)
     return StabilizerSet(n, states, trace_matrix)
 
 
@@ -177,7 +174,7 @@ class DualTable:
 def _dual_table(n: int) -> DualTable:
     """The fixed certificate rows for n qubits, the identity row first;
     every row is checked to be feasible in integer arithmetic."""
-    trace = np.rint(enumerate_stabilizer_states(n).trace_matrix).astype(np.int64)
+    trace = enumerate_stabilizer_states(n).trace_matrix
     if n == 1:
         scaled = DUAL_DENOM * np.array([(0, *signs) for signs in product((-1, 1), repeat=3)])
     else:

@@ -32,8 +32,10 @@ and a stochastic step with at most m outputs per column draws u ~ U[0, 1),
 takes slot = #{t : u >= cum[t, c]} and indexes the same tables at c * m + slot.
 The start operator is drawn by the same steps: each factor A = sum_i a_i sigma_i
 is a step with one column, (a_i), read at the identity code that every lane
-starts from. The finish contraction gathers codes the same way, into trace
-tables of its factors permuted into code order.
+starts from. The finish contraction is a run of the same steps that flip
+nothing: a factor A is a deterministic step whose mult is its trace table
+Tr(sigma A) in code order, so a batch walks one list of steps from start to
+finish.
 
 Sampling streams: the samples are cut into batches of BATCH_SIZE, and batch b
 draws from its own Philox generator keyed by (seed, b) (see fanout). Batch
@@ -174,11 +176,11 @@ def plan_samples(circuit: Circuit, direction: str, epsilon_target: float, delta:
 # ---------------------------------------------------------------------------
 # compiled form of a circuit: flat tables indexed by the engine's own bit code
 #
-# A step or finish factor on qubits (q_0, ..., q_{k-1}) reads the local code
-# c = xbits | zbits << k of a lane, where bit pos of xbits (zbits) is bit q_pos
-# of the lane's x (z) mask. A PTM index instead has one base-4 digit per qubit
-# (I, X, Y, Z = 0..3, first qubit least significant); the tables below are
-# permuted into code order once, at compile time.
+# A step on qubits (q_0, ..., q_{k-1}) reads the local code c = xbits | zbits << k
+# of a lane, where bit pos of xbits (zbits) is bit q_pos of the lane's x (z)
+# mask. A PTM index instead has one base-4 digit per qubit (I, X, Y, Z = 0..3,
+# first qubit least significant); the tables below are permuted into code
+# order once, at compile time.
 
 _ENTRY_TOL = 1e-12
 
@@ -198,10 +200,13 @@ def _local_bits(k: int) -> tuple:
     return xbits, zbits
 
 
+@lru_cache(maxsize=None)
 def _code_order(k: int) -> np.ndarray:
-    """order[c] = the PTM index whose local code is c."""
+    """order[c] = the PTM index whose local code is c. Cached per k."""
     xbits, zbits = _local_bits(k)
-    return np.argsort(xbits | (zbits << k))
+    order = np.argsort(xbits | (zbits << k))
+    order.setflags(write=False)
+    return order
 
 
 def _spread(bits: np.ndarray, qubits) -> np.ndarray:
@@ -243,21 +248,12 @@ def _gather_code(words: tuple, plan: tuple, out: np.ndarray, tmp: np.ndarray) ->
 
 
 @dataclass
-class _StartPlan:
-    # single-output factors folded into constants; the rest are one-column
-    # steps, run before the channel steps
-    const_x: int
-    const_z: int
-    const_coeff: float
-    factors: list
-
-
-@dataclass
 class _Step:
-    """One channel step, with 4^k columns, or one start factor, with the
-    identity column alone. Entry c * m + slot holds the multiplier and the XOR
-    deltas of output `slot` of the column with code c; m = 1 for a
-    deterministic step, which then draws nothing."""
+    """One channel step, with 4^k columns; one start factor, with the
+    identity column alone; or one finish factor, with 4^k columns, m = 1, its
+    trace table as mult and no flips. Entry c * m + slot holds the multiplier
+    and the XOR deltas of output `slot` of the column with code c; m = 1 for
+    a deterministic step, which then draws nothing."""
     qubits: tuple
     gather: tuple
     m: int
@@ -270,16 +266,12 @@ class _Step:
     kills: bool       # some column is dead, so a batch can die here
 
 
-@dataclass
-class _FinishFactor:
-    gather: tuple
-    table: np.ndarray  # unnormalized traces Tr(sigma A) in code order
-
-
 _FINISH_BLOCK_QUBITS = 8
 
 
-def _compile_start(state: FactoredState) -> _StartPlan:
+def _compile_start(state: FactoredState) -> tuple:
+    """(const_x, const_z, const_coeff, steps): the factors with one output
+    fold into the constants; the others are one-column steps."""
     const_x = 0
     const_z = 0
     const_coeff = 1.0
@@ -294,7 +286,7 @@ def _compile_start(state: FactoredState) -> _StartPlan:
             const_coeff *= float(np.sign(step.mult[0])) * op.stabilizer_norm
         else:
             random_factors.append(step)
-    return _StartPlan(const_x, const_z, const_coeff, random_factors)
+    return const_x, const_z, const_coeff, random_factors
 
 
 def _compile_steps(circuit: Circuit, direction: str) -> list:
@@ -355,47 +347,48 @@ def _place(table: tuple, qubits) -> _Step:
                  bool(dx.any()), bool(dz.any()), not mult.all())
 
 
-def _finish_block(qubits: list, tables: list) -> _FinishFactor:
-    """Product of 1-qubit trace tables over a run of qubits, in code order."""
-    b = len(qubits)
-    table = np.ones(())
-    for pos, tbl in enumerate(tables):
-        # axis b - 1 - pos is the z bit of this qubit, axis 2b - 1 - pos its x bit
-        shape = [1] * (2 * b)
-        shape[b - 1 - pos] = shape[2 * b - 1 - pos] = 2
-        table = table * tbl[_code_order(1).reshape(2, 2)].reshape(shape)
-    return _FinishFactor(_gather_plan(qubits), table.ravel())
+def _finish_step(qubits, table: np.ndarray) -> _Step:
+    """The step that multiplies by a finish factor's trace table (PTM order)."""
+    mult = table[_code_order(len(qubits))]
+    no_flips = np.zeros(len(mult), dtype=np.uint64)
+    return _Step(tuple(qubits), _gather_plan(qubits), 1, np.ones((0, len(mult))), mult,
+                 no_flips, no_flips, False, False, not mult.all())
 
 
 def _compile_finish(state: FactoredState) -> list:
-    """Finish factors: fused runs of 1-qubit factors, then the others."""
+    """Finish steps: fused runs of 1-qubit factors, then the others."""
     singles = {}
     others = []
     for qubits, op in state.factors:
         if len(qubits) == 1:
             singles[qubits[0]] = op.trace_table
         else:
-            others.append(_FinishFactor(_gather_plan(qubits),
-                                        op.trace_table[_code_order(len(qubits))]))
+            others.append(_finish_step(qubits, op.trace_table))
     # fuse runs of consecutive qubits into one table, so a run of up to
     # _FINISH_BLOCK_QUBITS qubits costs one code gather of two shifts
-    blocks = []
-    run_qubits, run_tables = [], []
+    runs = []
     for q in sorted(singles):
-        if run_qubits and (q != run_qubits[-1] + 1 or len(run_qubits) == _FINISH_BLOCK_QUBITS):
-            blocks.append(_finish_block(run_qubits, run_tables))
-            run_qubits, run_tables = [], []
-        run_qubits.append(q)
-        run_tables.append(singles[q])
-    if run_qubits:
-        blocks.append(_finish_block(run_qubits, run_tables))
+        if runs and q == runs[-1][-1] + 1 and len(runs[-1]) < _FINISH_BLOCK_QUBITS:
+            runs[-1].append(q)
+        else:
+            runs.append([q])
+    blocks = []
+    for run in runs:
+        table = singles[run[0]]
+        for q in run[1:]:
+            table = np.kron(singles[q], table)  # the first qubit is the low digit
+        blocks.append(_finish_step(run, table))
     return blocks + others
 
 
 @dataclass
 class _Compiled:
-    n: int
-    start: _StartPlan
+    # every lane starts at (const_x, const_z, const_coeff), then walks the
+    # start, channel and finish steps in that order
+    const_x: int
+    const_z: int
+    const_coeff: float
+    start: list
     steps: list
     finish: list
     cost: CostReport
@@ -410,8 +403,7 @@ def compile_circuit(circuit: Circuit, direction: str) -> "_Compiled":
     else:
         start, finish = circuit.observable, circuit.input
     return _Compiled(
-        circuit.n,
-        _compile_start(start),
+        *_compile_start(start),
         _compile_steps(circuit, direction),
         _compile_finish(finish),
         report,
@@ -419,10 +411,9 @@ def compile_circuit(circuit: Circuit, direction: str) -> "_Compiled":
 
 
 def _run_batch(compiled: _Compiled, count: int, rng) -> tuple:
-    plan = compiled.start
-    x = np.full(count, plan.const_x, dtype=np.uint64)
-    z = np.full(count, plan.const_z, dtype=np.uint64)
-    coeff = np.full(count, plan.const_coeff)
+    x = np.full(count, compiled.const_x, dtype=np.uint64)
+    z = np.full(count, compiled.const_z, dtype=np.uint64)
+    coeff = np.full(count, compiled.const_coeff)
     # scratch buffers reused by every step. The gathers pass mode="wrap"
     # because mode="raise" copies through a buffer; every code is in range.
     words = (x.view(np.int64), z.view(np.int64))
@@ -432,7 +423,7 @@ def _run_batch(compiled: _Compiled, count: int, rng) -> tuple:
     delta = np.empty(count, dtype=np.uint64)
     u = np.empty(count)
     below = np.empty(count, dtype=bool)
-    for st in plan.factors + compiled.steps:
+    for st in compiled.start + compiled.steps + compiled.finish:
         _gather_code(words, st.gather, code, index)
         if st.m > 1:
             # slot = #{t : u >= cum[t, c]}, the inverse-CDF draw of the column
@@ -453,9 +444,6 @@ def _run_batch(compiled: _Compiled, count: int, rng) -> tuple:
             z ^= delta
         if st.kills and not coeff.any():
             return 0.0, 0.0
-    for f in compiled.finish:
-        np.take(f.table, _gather_code(words, f.gather, code, index), out=factor, mode="wrap")
-        coeff *= factor
     if __debug__:
         limit = compiled.cost.total_bound * (1 + 1e-9) + 1e-12
         assert float(np.abs(coeff).max(initial=0.0)) <= limit

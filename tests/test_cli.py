@@ -147,6 +147,18 @@ def test_negative_sample_count_is_exit_3(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("which", ["fig2", "fig5", "fig6"])
+def test_figures_zero_samples_is_exit_3(tmp_path, capsys, which):
+    out = tmp_path / "out.csv"
+    code = cli.main(["figures", "--which", which, "--samples", "0", "--seed", "1",
+                     "--out", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert "sample count must be at least 1, got 0" in err["error"]["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [str(-1), str(2**64)])
 def test_seed_out_of_range_is_exit_3(tmp_path, capsys, seed):
     path = write_circuit(tmp_path, circuit_obj())
@@ -366,6 +378,11 @@ def test_classify_channel_examples(capsys):
         '{"reset": {"state": "zero"}, "qubits": [0]}',
     ])
     assert rep["category"] == "CH"
+    code, rep = run_json(capsys, [
+        "classify-channel", "--spec", '{"gate": "h", "qubits": [0]}',
+    ])
+    assert code == 0
+    assert rep["category"] == "CSH"
     code = cli.main(["classify-channel", "--spec",
                      '{"gate": "cnot", "qubits": [0, 1]}'])
     assert code == 3  # two-qubit channels have no 2q-Choi classification
@@ -410,11 +427,3 @@ def test_argparse_contracts(capsys):
     assert info.value.code == 0
     capsys.readouterr()
 
-
-def test_workers_env_fallback(monkeypatch, capsys):
-    monkeypatch.setenv("PAULIPROP_WORKERS", "not-an-int")
-    code, rep = run_json(capsys, [
-        "classify-channel", "--spec", '{"gate": "h", "qubits": [0]}',
-    ])
-    assert code == 0
-    assert rep["category"] == "CSH"

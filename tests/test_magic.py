@@ -22,8 +22,10 @@ from pauliprop.channels import (
     make_measure_z,
     make_reset,
     make_rotation,
+    make_unitary_ptm,
     ptm_from_choi,
 )
+from pauliprop.exact import embed_operator
 from pauliprop.magic import (
     CHANNEL_CATEGORIES,
     DUAL_DENOM,
@@ -358,6 +360,15 @@ def _generator():
     return module
 
 
+def _dense_generators():
+    """H0, S0, H1, S1, CNOT(0->1), CNOT(1->0) as two-qubit unitaries."""
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    s = np.diag([1, 1j])
+    cnot = np.eye(4)[[0, 3, 2, 1]]  # control: the 2^0 bit
+    return ([embed_operator(g, (q,), 2) for q in (0, 1) for g in (h, s)]
+            + [embed_operator(cnot, pair, 2) for pair in ((0, 1), (1, 0))])
+
+
 def test_table_generator_steps():
     gen = _generator()
     sset = enumerate_stabilizer_states(2)
@@ -373,8 +384,9 @@ def test_table_generator_steps():
     rho = sample_hilbert_schmidt(2, rng)
     y = gen.exact_dual(_solve_robustness(rho).eqlin.marginals)
     assert y is not None and np.abs(y @ sset.trace_matrix).max() <= DUAL_DENOM
-    for u in magic._gate_set(2):
-        image = gen.orbit(y, gen.pauli_action(u)[None])
+    for g, u in zip(magic._clifford_generators(2), _dense_generators(), strict=True):
+        np.testing.assert_array_equal(g, np.rint(make_unitary_ptm(u).matrix))
+        image = gen.orbit(y, g[None])
         assert image.shape == (1, 16)
         moved = DenseOperator(u @ rho.matrix @ u.conj().T)
         assert abs(image[0] @ rho.trace_table - y @ moved.trace_table) < 1e-9

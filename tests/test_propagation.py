@@ -166,15 +166,15 @@ def test_circuit_validation():
 def test_singleton_start_factors_fold_into_constants():
     compiled = compile_circuit(bell_circuit(pauli_factor(2, {0: 3, 1: 3})),
                                "heisenberg")
-    assert compiled.start.factors == []
-    assert compiled.start.const_coeff == 1.0
-    assert compiled.start.const_z == 0b11
+    assert compiled.start == []
+    assert compiled.const_coeff == 1.0
+    assert compiled.const_z == 0b11
     # -Z (x) 2X: the folded coefficient keeps the sign, times D = 1 * 2
     signed = FactoredState(2, [((0,), DenseOperator(-pauli_matrix(3, 1))),
                                ((1,), DenseOperator(2 * pauli_matrix(1, 1)))])
-    start = compile_circuit(bell_circuit(signed), "heisenberg").start
-    assert (start.factors, start.const_coeff) == ([], -2.0)
-    assert (start.const_x, start.const_z) == (0b10, 0b01)
+    compiled = compile_circuit(bell_circuit(signed), "heisenberg")
+    assert (compiled.start, compiled.const_coeff) == ([], -2.0)
+    assert (compiled.const_x, compiled.const_z) == (0b10, 0b01)
 
 
 def random_mixed_circuit(n, depth, rng):
@@ -385,6 +385,13 @@ def golden_pair():
     return DenseOperator(0.7 * bell + 0.3 * np.kron(t_state().matrix, h_state().matrix))
 
 
+def dense_three_qubit_state():
+    """A fixed Hilbert-Schmidt random 3-qubit state."""
+    g = np.random.default_rng(9).standard_normal((8, 8, 2))
+    g = g[..., 0] + 1j * g[..., 1]
+    return DenseOperator(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+
+
 def golden_circuit(kind):
     """Four qubits, one step kind. The input has an entangled factor on the
     non-adjacent pair (0, 2) and the observable a factor on (3, 1), so both
@@ -488,16 +495,47 @@ def test_compiled_steps_decode_to_their_ptm(direction):
         assert step.kills == (not step.mult.all())
         assert (step.flips_x, step.flips_z) == (bool(step.dx.any()), bool(step.dz.any()))
     # each start factor is drawn as a one-column step: its Pauli coefficients
-    g = np.random.default_rng(9).standard_normal((8, 8, 2))
-    g = g[..., 0] + 1j * g[..., 1]
-    dense3 = DenseOperator(g @ g.conj().T / np.trace(g @ g.conj().T).real)
     factors = [((3,), zero_state()), ((0,), plus_state()), ((5,), t_state()),
-               ((7,), h_state()), ((6, 1), golden_pair()), ((8, 2, 4), dense3)]
+               ((7,), h_state()), ((6, 1), golden_pair()),
+               ((8, 2, 4), dense_three_qubit_state())]
     state = FactoredState(9, factors)
     compiled = compile_circuit(Circuit(9, state, [], state), direction)
     assert compiled.steps == []
-    assert len(compiled.start.factors) == len(factors)
-    for step, (qubits, op) in zip(compiled.start.factors, factors):
+    assert len(compiled.start) == len(factors)
+    for step, (qubits, op) in zip(compiled.start, factors):
         assert step.qubits == qubits
         np.testing.assert_allclose(_decode_step(step), op.coeffs[:, None],
                                    rtol=0, atol=1e-15)
+
+
+def _finish_table(step):
+    """A finish step's multipliers in PTM index order, after checking that the
+    step draws nothing and flips no bits."""
+    k = len(step.qubits)
+    assert step.m == 1 and step.cum.shape == (0, 4**k)
+    assert not (step.flips_x or step.flips_z or step.dx.any() or step.dz.any())
+    assert step.kills == (not step.mult.all())
+    table = np.empty(4**k)
+    table[[_pauli_index(c, k) for c in range(4**k)]] = step.mult
+    return table
+
+
+@pytest.mark.parametrize("direction", ["schrodinger", "heisenberg"])
+def test_compiled_finish_steps_decode_to_their_factors(direction):
+    # singles on 0..8 (a run of 9, split 8 + 1), 10, 12-13, 15-16 and 18:
+    # runs split by gaps; a pair on (9, 11) and a triple on (19, 14, 17)
+    one_q = [zero_state, plus_state, h_state, t_state, maximally_mixed]
+    singles = {q: one_q[q % 5]() for q in (*range(9), 10, 12, 13, 15, 16, 18)}
+    multi = [((9, 11), golden_pair()), ((19, 14, 17), dense_three_qubit_state())]
+    state = FactoredState(20, [((q,), op) for q, op in singles.items()] + multi)
+    finish = compile_circuit(Circuit(20, state, [], state), direction).finish
+    runs = [tuple(range(8)), (8,), (10,), (12, 13), (15, 16), (18,)]
+    assert [step.qubits for step in finish] == runs + [qubits for qubits, _ in multi]
+    for step in finish[:len(runs)]:
+        index = np.arange(4 ** len(step.qubits))
+        want = np.ones(len(index))
+        for pos, q in enumerate(step.qubits):
+            want *= singles[q].trace_table[(index >> (2 * pos)) & 3]
+        np.testing.assert_allclose(_finish_table(step), want, rtol=1e-14, atol=0)
+    for step, (_, op) in zip(finish[len(runs):], multi):
+        np.testing.assert_array_equal(_finish_table(step), op.trace_table)

@@ -40,14 +40,13 @@ from pauliprop.channels import (
     compose,
     make_depolarizing,
     make_rotation,
-    make_unitary_ptm,
     ptm_from_choi,
 )
 from pauliprop.fanout import block_rng
 from pauliprop.magic import (
     DUAL_DENOM,
     MODES,
-    _gate_set,
+    _clifford_generators,
     _min_weight,
     _split_weights,
     enumerate_stabilizer_states,
@@ -86,10 +85,6 @@ def family_tables(family: str, count: int, rng) -> np.ndarray:
     return np.array(out)
 
 
-def integer_trace_matrix() -> np.ndarray:
-    return np.rint(enumerate_stabilizer_states(2).trace_matrix).astype(np.int64)
-
-
 def exact_dual(y: np.ndarray) -> np.ndarray | None:
     """DUAL_DENOM * y as integers, or None unless that is exact to 1e-6 and the
     row is feasible in integer arithmetic: |<DUAL_DENOM y, T_s>| <= DUAL_DENOM."""
@@ -97,19 +92,14 @@ def exact_dual(y: np.ndarray) -> np.ndarray | None:
     if np.abs(DUAL_DENOM * y - row).max() > 1e-6:
         return None
     row = row.astype(np.int64)
-    if np.abs(row @ integer_trace_matrix()).max() > DUAL_DENOM:
+    if np.abs(row @ enumerate_stabilizer_states(2).trace_matrix).max() > DUAL_DENOM:
         return None
     return row
 
 
-def pauli_action(u: np.ndarray) -> np.ndarray:
-    """The signed permutation P with t(u rho u^dag) = P t(rho)."""
-    return np.rint(make_unitary_ptm(u).matrix).astype(np.int64)
-
-
 def clifford_group() -> np.ndarray:
     """All 11520 signed permutations generated by H, S and CNOT, (g, 16, 16)."""
-    gens = [pauli_action(u) for u in _gate_set(2)]
+    gens = _clifford_generators(2)
     seen = {np.eye(16, dtype=np.int64).tobytes(): np.eye(16, dtype=np.int64)}
     frontier = list(seen.values())
     while frontier:
