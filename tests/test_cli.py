@@ -427,3 +427,17 @@ def test_argparse_contracts(capsys):
     assert info.value.code == 0
     capsys.readouterr()
 
+
+
+def test_workers_env_fallback(monkeypatch, capsys):
+    # PAULIPROP_WORKERS is no longer read: --workers alone sets the count.
+    for value in ["not-an-int", "0", "4"]:
+        monkeypatch.setenv("PAULIPROP_WORKERS", value)
+        args = cli.build_parser().parse_args(["census", "--samples", "1",
+                                              "--seed", "1"])
+        assert args.workers == 1
+    code, rep = run_json(capsys, [
+        "classify-channel", "--spec", '{"gate": "h", "qubits": [0]}',
+    ])
+    assert code == 0
+    assert rep["category"] == "CSH"
