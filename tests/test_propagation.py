@@ -29,6 +29,7 @@ from pauliprop.operators import (
 )
 from pauliprop.propagation import (
     BATCH_SIZE,
+    DIRECTIONS,
     BoundOverflowError,
     Circuit,
     ENGINE_MAX_QUBITS,
@@ -210,6 +211,7 @@ def random_mixed_circuit(n, depth, rng):
         ((0, 2), DenseOperator(herm)),
         ((1,), DenseOperator(pauli_matrix(int(rng.integers(4)), 1))),
         ((3,), DenseOperator(np.eye(2))),
+        *[((q,), one_q[rng.integers(4)]()) for q in range(4, n)],
     ])
     return Circuit(n, FactoredState(n, input_factors), channels, observable)
 
@@ -337,11 +339,10 @@ def test_cost_report_runs_once_per_estimate(monkeypatch):
     assert len(calls) == 2
 
 
-def test_deep_wide_clifford_walk_returns_to_its_observable():
+def _clifford_round_trip(n, seed):
     """A random Clifford circuit followed by its inverse maps a Z word back to
     itself, so on |0...0> the exact value is 1, not 0."""
-    rng = np.random.default_rng(31)
-    n = 32
+    rng = np.random.default_rng(seed)
     gates = []
     for _ in range(300):
         if rng.random() < 0.3:
@@ -362,6 +363,16 @@ def test_deep_wide_clifford_walk_returns_to_its_observable():
     rep = estimate(circ, "heisenberg", 5000, seed=2)
     assert rep.mean == 1.0
     assert rep.sample_std == 0.0
+
+
+def test_deep_wide_clifford_walk_returns_to_its_observable():
+    _clifford_round_trip(32, 31)
+
+
+def test_full_register_clifford_walk_returns_to_its_observable():
+    # the same walk on all 64 qubits: gates straddle the two halves and
+    # reach qubit 63
+    _clifford_round_trip(64, 32)
 
 
 def test_report_serialization():
@@ -440,6 +451,82 @@ GOLDEN = {
 def test_golden_seeded_estimates(kind, direction):
     rep = estimate(golden_circuit(kind), direction, BATCH_SIZE + 4_464, seed=11)
     assert (rep.mean, rep.sample_std) == GOLDEN[kind, direction]
+
+
+def wide_circuit():
+    """64 qubits: two-qubit gates across the middle (31, 32) and at the top
+    (62, 63), a dense unitary on (30, 33, 63), stochastic steps in both
+    halves, and in both directions a fused finish run over qubits 28..35
+    (qubit 27 sits in a pair factor, so the run starts at 28). The qubits no
+    step touches hold |0> and |0><0|, so most lanes survive to the finish."""
+    n = 64
+    one_q = [zero_state, plus_state, h_state, t_state]
+    touched = (5, 20, *range(28, 36), 40, 50, 62)
+    inp = [((27, 36), golden_pair()), ((63, 0, 45), dense_three_qubit_state())]
+    inp += [((q,), one_q[q % 4]() if q in touched else zero_state())
+            for q in range(n) if q not in (0, 27, 36, 45, 63)]
+    coeffs = np.zeros(16)
+    coeffs[[0, 5, 10, 15]] = [0.25, 0.25, -0.25, 0.25]
+    obs = [((44, 27), DenseOperator.from_coeffs(coeffs, 2))]
+    obs += [((q,), DenseOperator.from_coeffs([0.5, 0.1, 0.2, 0.3], 1)
+             if q in touched + (0, 36, 45, 63) else zero_state())
+            for q in range(n) if q not in (27, 44)]
+    noisy_t = compose(make_depolarizing(0.8), make_rotation(math.pi / 4))
+    steps = [(make_clifford("h"), (q,)) for q in (31, 32, 63, 62, 30)]
+    steps += [(make_clifford("cnot"), (31, 32)), (make_clifford("cz"), (62, 63)),
+              (noisy_t, (5,)), (noisy_t, (40,)), (make_depolarizing(0.6), (31,)),
+              (make_unitary_ptm(dense_u3()), (30, 33, 63)),
+              (make_clifford("cz"), (32, 31)), (make_clifford("cnot"), (63, 62)),
+              (make_rotation(0.3), (63,)), (make_measure_z(), (20,)),
+              (make_reset(t_state()), (50,)), (make_clifford("s"), (32,)),
+              (make_clifford("cnot"), (34, 29))]
+    return Circuit(n, FactoredState(n, inp), [ChannelApplication(p, q) for p, q in steps],
+                   FactoredState(n, obs))
+
+
+# seeded (mean, sample_std) of wide_circuit over two batches, pinned from the
+# engine that kept separate x and z words
+WIDE = {
+    "schrodinger": (0.0002701057151272378, 0.040274043005052905),
+    "heisenberg": (9.137108603906193e-06, 0.08278757051922946),
+}
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_wide_seeded_estimates(direction):
+    rep = estimate(wide_circuit(), direction, BATCH_SIZE + 4_464, seed=13)
+    assert (rep.mean, rep.sample_std) == WIDE[direction]
+
+
+def _padded(circ, offset):
+    """circ on qubits offset, offset + 1, ... of a 64-qubit register; the
+    other qubits get |0> inputs and |0><0| observable factors. Their start
+    draws come after the circuit's own, and their trace tables hold only
+    0 and 1, so they change no product."""
+    shift = lambda qubits: tuple(q + offset for q in qubits)
+    rest = [q for q in range(64) if not offset <= q < offset + circ.n]
+
+    def pad(state):
+        return FactoredState(64, [(shift(qubits), op) for qubits, op in state.factors]
+                             + [((q,), zero_state()) for q in rest])
+
+    apps = [ChannelApplication(app.ptm, shift(app.qubits)) for app in circ.channels]
+    return Circuit(64, pad(circ.input), apps, pad(circ.observable))
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_upper_half_relabelling_gives_equal_results(direction):
+    # the same circuit on qubits 24..31 and on 56..63, the top of the lower
+    # and the upper half of the register: every seeded figure matches exactly.
+    # At this seed every run keeps live lanes (random circuits often die).
+    rng = np.random.default_rng(67)
+    for trial in range(3):
+        circ = random_mixed_circuit(8, 40, rng)
+        low = estimate(_padded(circ, 24), direction, 20_000, seed=trial)
+        high = estimate(_padded(circ, 56), direction, 20_000, seed=trial)
+        assert (low.mean, low.sample_std, low.epsilon) == (high.mean, high.sample_std,
+                                                          high.epsilon)
+        assert low.sample_std > 0.0
 
 
 def _pauli_index(code, k):
