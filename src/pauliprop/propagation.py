@@ -13,20 +13,23 @@ output Pauli with probability proportional to |R_ij| and multiplies the
 running coefficient by sign(R_ij) times the column L1 norm. A zero column
 kills the trajectory: its value is exactly 0.
 
-The walk is vectorized: a batch of trajectories advances together as uint64
-(x, z) mask arrays plus a float64 coefficient array, which is what makes
-desk-scale sample counts feasible in Python. Masks are single machine words,
-so the engine register cap is n <= 64.
+The walk is vectorized: a batch of trajectories advances together as arrays
+of uint64 words plus a float64 coefficient array, which is what makes
+desk-scale sample counts feasible in Python. A lane's Pauli string is stored
+interleaved, in the symplectic (x, z) idiom of CHP (Aaronson & Gottesman,
+quant-ph/0406196) and Stim (Gidney, arXiv:2103.02202): qubit q's x bit is bit
+2 (q mod 32) of word q // 32 and its z bit the bit above. A register of up to
+32 qubits takes one word per lane; the engine register cap, n <= 64, two.
 
-Compiled steps are tables indexed by the engine's own bit code, in the
-symplectic (x, z) idiom of CHP (Aaronson & Gottesman, quant-ph/0406196) and
-Stim (Gidney, arXiv:2103.02202). A step on qubits (q_0, ..., q_{k-1}) reads
-the local code c = xbits | zbits << k of each lane with a few shifts, masks and
-ORs, and stores flat tables mult, dx and dz: the signed multiplier and the
-register masks of the x and z bits the step flips. A deterministic step
-(every column has at most one output) is then
+Compiled steps are tables indexed by the engine's own bit code. A step on
+qubits (q_0, ..., q_{k-1}) reads the local code c of each lane, whose digit
+pos is x_pos | z_pos << 1 (I, X, Z, Y = 0..3: the PTM digit with Y and Z
+swapped), with one shift and mask per run of adjacent qubits. It stores flat
+tables mult and, per word it touches, delta: the signed multiplier and the
+bits the step flips. A deterministic step (every column has at most one
+output) is then
 
-    coeff *= mult[c];  x ^= dx[c];  z ^= dz[c]
+    coeff *= mult[c];  word ^= delta[c]
 
 and a stochastic step with at most m outputs per column draws u ~ U[0, 1),
 takes slot = #{t : u >= cum[t, c]} and indexes the same tables at c * m + slot.
@@ -176,70 +179,64 @@ def plan_samples(circuit: Circuit, direction: str, epsilon_target: float, delta:
 # ---------------------------------------------------------------------------
 # compiled form of a circuit: flat tables indexed by the engine's own bit code
 #
-# A step on qubits (q_0, ..., q_{k-1}) reads the local code c = xbits | zbits << k
-# of a lane, where bit pos of xbits (zbits) is bit q_pos of the lane's x (z)
-# mask. A PTM index instead has one base-4 digit per qubit (I, X, Y, Z = 0..3,
-# first qubit least significant); the tables below are permuted into code
-# order once, at compile time.
+# A step on qubits (q_0, ..., q_{k-1}) reads the local code c of a lane, whose
+# bits 2 pos and 2 pos + 1 are the x and z bits of qubit q_pos. A PTM index
+# instead has one base-4 digit per qubit (I, X, Y, Z = 0..3, first qubit least
+# significant); the tables below are permuted into code order once, at
+# compile time.
 
 _ENTRY_TOL = 1e-12
+_WORD_QUBITS = 32
 
 
-@lru_cache(maxsize=None)
-def _local_bits(k: int) -> tuple:
-    """(xbits, zbits) of every k-qubit PTM index, as int64 arrays. Cached per k."""
-    index = np.arange(4**k)
-    xbits = np.zeros(4**k, dtype=np.int64)
-    zbits = np.zeros(4**k, dtype=np.int64)
-    for pos in range(k):
-        digit = (index >> (2 * pos)) & 3
-        xbits |= ((digit ^ (digit >> 1)) & 1) << pos
-        zbits |= (digit >> 1) << pos
-    xbits.setflags(write=False)
-    zbits.setflags(write=False)
-    return xbits, zbits
+def _word_bit(q: int) -> tuple:
+    """(word, bit) of qubit q's x bit; its z bit is bit + 1."""
+    return divmod(2 * q, 2 * _WORD_QUBITS)
 
 
 @lru_cache(maxsize=None)
 def _code_order(k: int) -> np.ndarray:
-    """order[c] = the PTM index whose local code is c. Cached per k."""
-    xbits, zbits = _local_bits(k)
-    order = np.argsort(xbits | (zbits << k))
+    """order[c] = the PTM index whose local code is c: each digit with Y and Z
+    swapped. The swap is its own inverse, so order[i] is also the code of PTM
+    index i. Cached per k."""
+    index = np.arange(4**k)
+    order = index ^ ((index >> 1) & ((4**k - 1) // 3))
     order.setflags(write=False)
     return order
 
 
-def _spread(bits: np.ndarray, qubits) -> np.ndarray:
-    """Register masks (uint64) that put bit pos of `bits` on qubit qubits[pos]."""
-    out = np.zeros(bits.shape, dtype=np.uint64)
+def _spread(codes: np.ndarray, qubits) -> tuple:
+    """(word, deltas) pairs that put digit pos of local codes on qubit
+    qubits[pos]: one uint64 table per lane word with a bit to flip."""
+    deltas = {}
     for pos, q in enumerate(qubits):
-        out |= ((bits >> pos) & 1).astype(np.uint64) << np.uint64(q)
-    return out
+        word, bit = _word_bit(q)
+        digit = ((codes >> (2 * pos)) & 3).astype(np.uint64) << np.uint64(bit)
+        deltas[word] = deltas[word] | digit if word in deltas else digit
+    return tuple((word, d) for word, d in sorted(deltas.items()) if d.any())
 
 
 def _gather_plan(qubits) -> tuple:
-    """(source, shift, mask) terms whose OR is the local code: source 0 reads
-    x and 1 reads z; qubits at the same distance from their code bit share
-    one shift."""
-    k = len(qubits)
+    """(word, shift, mask) terms whose OR is the local code: a run of adjacent
+    qubits in ascending order, within one word, shares one shift."""
     terms = {}
     for pos, q in enumerate(qubits):
-        for source, bit in ((0, pos), (1, k + pos)):
-            key = (source, q - bit)
-            terms[key] = terms.get(key, 0) | (1 << bit)
-    return tuple((source, shift, mask) for (source, shift), mask in terms.items())
+        word, bit = _word_bit(q)
+        key = (word, bit - 2 * pos)
+        terms[key] = terms.get(key, 0) | (3 << (2 * pos))
+    return tuple((word, shift, mask) for (word, shift), mask in terms.items())
 
 
-def _gather_code(words: tuple, plan: tuple, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Local codes of a batch into `out`; words = (x, z) viewed as int64."""
-    for i, (source, shift, mask) in enumerate(plan):
+def _gather_code(lanes: np.ndarray, plan: tuple, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Local codes of a batch into `out`; lanes = the words viewed as int64."""
+    for i, (word, shift, mask) in enumerate(plan):
         dst = out if i == 0 else tmp
         if shift > 0:
-            np.right_shift(words[source], shift, out=dst)
+            np.right_shift(lanes[word], shift, out=dst)
             np.bitwise_and(dst, mask, out=dst)
         else:
             # mask first, so that no set bit is shifted past the sign bit
-            np.bitwise_and(words[source], mask >> -shift, out=dst)
+            np.bitwise_and(lanes[word], mask >> -shift, out=dst)
             if shift:
                 np.left_shift(dst, -shift, out=dst)
         if i:
@@ -259,10 +256,7 @@ class _Step:
     m: int
     cum: np.ndarray   # (m - 1, columns): P(slot <= t) for column c at [t, c]
     mult: np.ndarray  # (columns * m,) the entry, or sign * column L1 norm if m > 1
-    dx: np.ndarray    # (columns * m,) uint64 register masks of the x bits to flip
-    dz: np.ndarray
-    flips_x: bool     # False when dx is all zero (z-only gates such as S, CZ)
-    flips_z: bool
+    flips: tuple      # (word, (columns * m,) uint64 bits to XOR) per word it changes
     kills: bool       # some column is dead, so a batch can die here
 
 
@@ -270,10 +264,9 @@ _FINISH_BLOCK_QUBITS = 8
 
 
 def _compile_start(state: FactoredState) -> tuple:
-    """(const_x, const_z, const_coeff, steps): the factors with one output
-    fold into the constants; the others are one-column steps."""
-    const_x = 0
-    const_z = 0
+    """(const, const_coeff, steps): the factors with one output fold into the
+    start words const and const_coeff; the others are one-column steps."""
+    const = [0] * -(-state.n // _WORD_QUBITS)
     const_coeff = 1.0
     random_factors = []
     for qubits, op in state.factors:
@@ -281,12 +274,12 @@ def _compile_start(state: FactoredState) -> tuple:
         if not step.mult.any():
             raise ValueError(f"zero operator on qubits {qubits} (D = 0)")
         if step.m == 1:
-            const_x |= int(step.dx[0])
-            const_z |= int(step.dz[0])
+            for word, delta in step.flips:
+                const[word] |= int(delta[0])
             const_coeff *= float(np.sign(step.mult[0])) * op.stabilizer_norm
         else:
             random_factors.append(step)
-    return const_x, const_z, const_coeff, random_factors
+    return tuple(const), const_coeff, random_factors
 
 
 def _compile_steps(circuit: Circuit, direction: str) -> list:
@@ -304,7 +297,7 @@ def _compile_steps(circuit: Circuit, direction: str) -> list:
 
 
 def _tabulate(r: np.ndarray) -> tuple:
-    """(m, cum, mult, local x flips, local z flips) of a PTM, in code order.
+    """(m, cum, mult, local code flips) of a PTM, in code order.
 
     r may hold only the first columns of a PTM (a start factor has one)."""
     size = r.shape[1]
@@ -312,9 +305,9 @@ def _tabulate(r: np.ndarray) -> tuple:
     # columns in code order; each column keeps its outputs in PTM index
     # order, so a draw u picks the same output as in PTM order. The norms are
     # summed before the permutation: numpy's summation order follows layout.
-    order = _code_order(k)[:size]
-    colnorm = np.abs(r).sum(axis=0)[order]
-    r = r[:, order]
+    order = _code_order(k)
+    colnorm = np.abs(r).sum(axis=0)[order[:size]]
+    r = r[:, order[:size]]
     supports = [np.flatnonzero(np.abs(r[:, c]) > _ENTRY_TOL) for c in range(size)]
     m = max(1, max(len(s) for s in supports))
     cum = np.ones((m - 1, size))
@@ -332,27 +325,21 @@ def _tabulate(r: np.ndarray) -> tuple:
             mult[c, len(s):] = mult[c, len(s) - 1]
         out[c, : len(s)] = s
         out[c, len(s):] = s[-1]
-    xbits, zbits = _local_bits(k)
-    code_in = np.arange(size)[:, None]
-    flip_x = (xbits[out] ^ (code_in & ((1 << k) - 1))).ravel()
-    flip_z = (zbits[out] ^ (code_in >> k)).ravel()
-    return m, cum, mult.ravel(), flip_x, flip_z
+    flips = (order[out] ^ np.arange(size)[:, None]).ravel()
+    return m, cum, mult.ravel(), flips
 
 
 def _place(table: tuple, qubits) -> _Step:
-    m, cum, mult, flip_x, flip_z = table
-    dx = _spread(flip_x, qubits)
-    dz = _spread(flip_z, qubits)
-    return _Step(tuple(qubits), _gather_plan(qubits), m, cum, mult, dx, dz,
-                 bool(dx.any()), bool(dz.any()), not mult.all())
+    m, cum, mult, flips = table
+    return _Step(tuple(qubits), _gather_plan(qubits), m, cum, mult, _spread(flips, qubits),
+                 not mult.all())
 
 
 def _finish_step(qubits, table: np.ndarray) -> _Step:
     """The step that multiplies by a finish factor's trace table (PTM order)."""
     mult = table[_code_order(len(qubits))]
-    no_flips = np.zeros(len(mult), dtype=np.uint64)
     return _Step(tuple(qubits), _gather_plan(qubits), 1, np.ones((0, len(mult))), mult,
-                 no_flips, no_flips, False, False, not mult.all())
+                 (), not mult.all())
 
 
 def _compile_finish(state: FactoredState) -> list:
@@ -365,7 +352,7 @@ def _compile_finish(state: FactoredState) -> list:
         else:
             others.append(_finish_step(qubits, op.trace_table))
     # fuse runs of consecutive qubits into one table, so a run of up to
-    # _FINISH_BLOCK_QUBITS qubits costs one code gather of two shifts
+    # _FINISH_BLOCK_QUBITS qubits in one word costs one shift and mask
     runs = []
     for q in sorted(singles):
         if runs and q == runs[-1][-1] + 1 and len(runs[-1]) < _FINISH_BLOCK_QUBITS:
@@ -383,10 +370,9 @@ def _compile_finish(state: FactoredState) -> list:
 
 @dataclass
 class _Compiled:
-    # every lane starts at (const_x, const_z, const_coeff), then walks the
-    # start, channel and finish steps in that order
-    const_x: int
-    const_z: int
+    # every lane starts at (const, const_coeff), one word of const per 32
+    # qubits, then walks the start, channel and finish steps in that order
+    const: tuple
     const_coeff: float
     start: list
     steps: list
@@ -411,12 +397,12 @@ def compile_circuit(circuit: Circuit, direction: str) -> "_Compiled":
 
 
 def _run_batch(compiled: _Compiled, count: int, rng) -> tuple:
-    x = np.full(count, compiled.const_x, dtype=np.uint64)
-    z = np.full(count, compiled.const_z, dtype=np.uint64)
+    words = np.empty((len(compiled.const), count), dtype=np.uint64)
+    words[:] = np.array(compiled.const, dtype=np.uint64)[:, None]
     coeff = np.full(count, compiled.const_coeff)
     # scratch buffers reused by every step. The gathers pass mode="wrap"
     # because mode="raise" copies through a buffer; every code is in range.
-    words = (x.view(np.int64), z.view(np.int64))
+    lanes = words.view(np.int64)
     code = np.empty(count, dtype=np.intp)
     index = np.empty(count, dtype=np.intp)
     factor = np.empty(count)
@@ -424,7 +410,7 @@ def _run_batch(compiled: _Compiled, count: int, rng) -> tuple:
     u = np.empty(count)
     below = np.empty(count, dtype=bool)
     for st in compiled.start + compiled.steps + compiled.finish:
-        _gather_code(words, st.gather, code, index)
+        _gather_code(lanes, st.gather, code, index)
         if st.m > 1:
             # slot = #{t : u >= cum[t, c]}, the inverse-CDF draw of the column
             rng.random(count, out=u)
@@ -436,12 +422,9 @@ def _run_batch(compiled: _Compiled, count: int, rng) -> tuple:
             code, index = index, code  # the tables are read at c * m + slot
         np.take(st.mult, code, out=factor, mode="wrap")
         coeff *= factor
-        if st.flips_x:
-            np.take(st.dx, code, out=delta, mode="wrap")
-            x ^= delta
-        if st.flips_z:
-            np.take(st.dz, code, out=delta, mode="wrap")
-            z ^= delta
+        for word, table in st.flips:
+            np.take(table, code, out=delta, mode="wrap")
+            words[word] ^= delta
         if st.kills and not coeff.any():
             return 0.0, 0.0
     if __debug__:

@@ -169,13 +169,20 @@ def test_singleton_start_factors_fold_into_constants():
                                "heisenberg")
     assert compiled.start == []
     assert compiled.const_coeff == 1.0
-    assert compiled.const_z == 0b11
+    # qubit q's x bit is bit 2q of the word and its z bit the next one up
+    assert compiled.const == (0b1010,)
     # -Z (x) 2X: the folded coefficient keeps the sign, times D = 1 * 2
     signed = FactoredState(2, [((0,), DenseOperator(-pauli_matrix(3, 1))),
                                ((1,), DenseOperator(2 * pauli_matrix(1, 1)))])
     compiled = compile_circuit(bell_circuit(signed), "heisenberg")
     assert (compiled.start, compiled.const_coeff) == ([], -2.0)
-    assert (compiled.const_x, compiled.const_z) == (0b10, 0b01)
+    assert compiled.const == (0b0110,)
+    # qubits 32..63 fill a second word: Y on 31 and 63 set the sign bits
+    word = pauli_factor(64, {31: 2, 32: 1, 33: 3, 63: 2})
+    compiled = compile_circuit(Circuit(64, FactoredState.of_qubit_states([zero_state()] * 64),
+                                       [], word), "heisenberg")
+    assert compiled.start == []
+    assert compiled.const == (0b11 << 62, 0b11 << 62 | 0b1000 | 0b1)
 
 
 def random_mixed_circuit(n, depth, rng):
@@ -529,13 +536,49 @@ def test_upper_half_relabelling_gives_equal_results(direction):
         assert low.sample_std > 0.0
 
 
+# a lane's Pauli string, as this test reads it: qubit q's x bit is bit
+# 2 (q mod 32) of word q // 32 and its z bit the bit above; a step's local code
+# holds qubit pos's x bit at bit 2 pos and its z bit at bit 2 pos + 1.
+# Local digit x | z << 1 -> PTM digit: (0, 0) I, (1, 0) X, (0, 1) Z, (1, 1) Y.
+_PTM_DIGIT = np.array([0, 1, 3, 2])
+
+
+def _word_shift(q):
+    return q // 32, 2 * (q % 32)
+
+
 def _pauli_index(code, k):
-    """PTM index (base-4 digits I, X, Y, Z) of the local code xbits | zbits << k."""
-    index = 0
-    for pos in range(k):
-        xb, zb = (code >> pos) & 1, (code >> (k + pos)) & 1
-        index += ((0, 3), (1, 2))[xb][zb] << (2 * pos)
-    return index
+    """PTM index (base-4 digits I, X, Y, Z) of local codes."""
+    code = np.asarray(code)
+    return sum(_PTM_DIGIT[(code >> (2 * pos)) & 3] << (2 * pos) for pos in range(k))
+
+
+def _check_gather(step):
+    """The step's code gather reads each of its qubits' (x, z) bits into the
+    qubit's local digit, on random lane words (sign bits included)."""
+    words = np.random.default_rng(0).bit_generator.random_raw((2, 256))
+    code = propagation._gather_code(words.view(np.int64), step.gather,
+                                    np.empty(256, dtype=np.intp), np.empty(256, dtype=np.intp))
+    want = np.zeros(256, dtype=np.uint64)
+    for pos, q in enumerate(step.qubits):
+        word, shift = _word_shift(q)
+        want |= ((words[word] >> np.uint64(shift)) & np.uint64(3)) << np.uint64(2 * pos)
+    np.testing.assert_array_equal(code, want.astype(np.intp))
+
+
+def _flipped_code(step, e):
+    """The local code bits that entry e flips, read off the step's word
+    deltas, after checking that no other register bit flips."""
+    out = 0
+    for word, delta in step.flips:
+        bits = int(delta[e])
+        for pos, q in enumerate(step.qubits):
+            if _word_shift(q)[0] == word:
+                shift = _word_shift(q)[1]
+                out |= ((bits >> shift) & 3) << (2 * pos)
+                bits &= ~(3 << shift)
+        assert bits == 0, (word, e)
+    return out
 
 
 def _decode_step(step):
@@ -543,19 +586,17 @@ def _decode_step(step):
     step has the identity column alone."""
     k = len(step.qubits)
     columns, m = step.cum.shape[1], step.m
-    register = sum(1 << q for q in step.qubits)
+    _check_gather(step)
+    words = [word for word, _ in step.flips]
+    assert words == sorted(set(words)) and all(delta.any() for _, delta in step.flips)
+    assert step.kills == (not step.mult.all())
     dense = np.zeros((4**k, columns))
     for c in range(columns):
         for slot in range(m):
             upper = 1.0 if slot == m - 1 else step.cum[slot, c]
             lower = 0.0 if slot == 0 else step.cum[slot - 1, c]
             e = c * m + slot
-            dx, dz = int(step.dx[e]), int(step.dz[e])
-            assert dx & ~register == 0 and dz & ~register == 0
-            out = c
-            for pos, q in enumerate(step.qubits):
-                out ^= ((dx >> q) & 1) << pos
-                out ^= ((dz >> q) & 1) << (k + pos)
+            out = c ^ _flipped_code(step, e)
             dense[_pauli_index(out, k), _pauli_index(c, k)] += (upper - lower) * step.mult[e]
     return dense
 
@@ -571,22 +612,27 @@ def _library_channels():
 
 @pytest.mark.parametrize("direction", ["schrodinger", "heisenberg"])
 def test_compiled_steps_decode_to_their_ptm(direction):
-    placements = {1: (5,), 2: (6, 1), 3: (7, 2, 4)}
+    # in the lower word, in the upper word (qubit 63's z bit is its sign
+    # bit), and across the two; runs of adjacent qubits share one gather term
+    placements = [{1: (5,), 2: (6, 1), 3: (7, 2, 4)},
+                  {1: (63,), 2: (40, 41), 3: (61, 62, 63)},
+                  {1: (32,), 2: (31, 32), 3: (33, 30, 32)}]
     for ptm in _library_channels():
-        qubits = placements[ptm.k]
-        circ = Circuit(8, FactoredState.of_qubit_states([zero_state()] * 8),
-                       [ChannelApplication(ptm, qubits)], pauli_factor(8, {0: 3}))
-        (step,) = compile_circuit(circ, direction).steps
-        want = ptm.matrix if direction == "schrodinger" else ptm.matrix.T
-        np.testing.assert_allclose(_decode_step(step), want, rtol=0, atol=1e-11)
-        assert step.kills == (not step.mult.all())
-        assert (step.flips_x, step.flips_z) == (bool(step.dx.any()), bool(step.dz.any()))
+        for qubits in (placement[ptm.k] for placement in placements):
+            circ = Circuit(64, FactoredState.of_qubit_states([zero_state()] * 64),
+                           [ChannelApplication(ptm, qubits)], pauli_factor(64, {0: 3}))
+            (step,) = compile_circuit(circ, direction).steps
+            want = ptm.matrix if direction == "schrodinger" else ptm.matrix.T
+            np.testing.assert_allclose(_decode_step(step), want, rtol=0, atol=1e-11)
     # each start factor is drawn as a one-column step: its Pauli coefficients
     factors = [((3,), zero_state()), ((0,), plus_state()), ((5,), t_state()),
                ((7,), h_state()), ((6, 1), golden_pair()),
-               ((8, 2, 4), dense_three_qubit_state())]
-    state = FactoredState(9, factors)
-    compiled = compile_circuit(Circuit(9, state, [], state), direction)
+               ((8, 2, 4), dense_three_qubit_state()), ((40,), t_state()),
+               ((33, 62), golden_pair()), ((63, 31, 32), dense_three_qubit_state())]
+    covered = {q for qubits, _ in factors for q in qubits}
+    factors += [((q,), h_state()) for q in range(64) if q not in covered]
+    state = FactoredState(64, factors)
+    compiled = compile_circuit(Circuit(64, state, [], state), direction)
     assert compiled.steps == []
     assert len(compiled.start) == len(factors)
     for step, (qubits, op) in zip(compiled.start, factors):
@@ -599,24 +645,27 @@ def _finish_table(step):
     """A finish step's multipliers in PTM index order, after checking that the
     step draws nothing and flips no bits."""
     k = len(step.qubits)
-    assert step.m == 1 and step.cum.shape == (0, 4**k)
-    assert not (step.flips_x or step.flips_z or step.dx.any() or step.dz.any())
+    assert step.m == 1 and step.cum.shape == (0, 4**k) and step.flips == ()
     assert step.kills == (not step.mult.all())
+    _check_gather(step)
     table = np.empty(4**k)
-    table[[_pauli_index(c, k) for c in range(4**k)]] = step.mult
+    table[_pauli_index(np.arange(4**k), k)] = step.mult
     return table
 
 
 @pytest.mark.parametrize("direction", ["schrodinger", "heisenberg"])
 def test_compiled_finish_steps_decode_to_their_factors(direction):
     # singles on 0..8 (a run of 9, split 8 + 1), 10, 12-13, 15-16 and 18:
-    # runs split by gaps; a pair on (9, 11) and a triple on (19, 14, 17)
+    # runs split by gaps; a pair on (9, 11) and a triple on (19, 14, 17).
+    # Singles on 20..63 make runs of 8, one across the words (28..35) and
+    # one that ends at qubit 63
     one_q = [zero_state, plus_state, h_state, t_state, maximally_mixed]
-    singles = {q: one_q[q % 5]() for q in (*range(9), 10, 12, 13, 15, 16, 18)}
+    singles = {q: one_q[q % 5]() for q in (*range(9), 10, 12, 13, 15, 16, 18, *range(20, 64))}
     multi = [((9, 11), golden_pair()), ((19, 14, 17), dense_three_qubit_state())]
-    state = FactoredState(20, [((q,), op) for q, op in singles.items()] + multi)
-    finish = compile_circuit(Circuit(20, state, [], state), direction).finish
-    runs = [tuple(range(8)), (8,), (10,), (12, 13), (15, 16), (18,)]
+    state = FactoredState(64, [((q,), op) for q, op in singles.items()] + multi)
+    finish = compile_circuit(Circuit(64, state, [], state), direction).finish
+    runs = [tuple(range(8)), (8,), (10,), (12, 13), (15, 16), (18,),
+            *(tuple(range(q, q + 8)) for q in range(20, 60, 8)), (60, 61, 62, 63)]
     assert [step.qubits for step in finish] == runs + [qubits for qubits, _ in multi]
     for step in finish[:len(runs)]:
         index = np.arange(4 ** len(step.qubits))
