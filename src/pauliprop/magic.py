@@ -51,7 +51,6 @@ from importlib.resources import files
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .channels import (
     PTM,
@@ -130,6 +129,25 @@ def enumerate_stabilizer_states(n: int) -> StabilizerSet:
     trace_matrix.setflags(write=False)  # shared by every caller through the cache
     states = tuple(DenseOperator.from_coeffs(t / 2**n, n) for t in trace_matrix.T)
     return StabilizerSet(n, states, trace_matrix)
+
+
+# scipy.optimize is imported on first use: it takes about two thirds of
+# `import pauliprop`, and only the LPs and NNLS fits here need it
+
+def linprog(*args, **kwargs):
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
+
+
+def nnls(*args, **kwargs):
+    from scipy.optimize import nnls as solve
+    return solve(*args, **kwargs)
+
+
+def _import_solvers():
+    """Import scipy.optimize before a fan-out, so that forked workers inherit
+    it instead of each importing it again."""
+    import scipy.optimize  # noqa: F401
 
 
 def _split_weights(n: int) -> np.ndarray:
@@ -392,6 +410,7 @@ def classification_census(n_samples: int, mode: str = "general", seed: int = 0,
     """Histogram over the eight categories for HS-random postselective channels."""
     if mode not in MODES:
         raise ValueError(f"unknown projection mode {mode!r}")
+    _import_solvers()
     blocks = fan_out(_census_block, (mode,), n_samples, CENSUS_BLOCK, seed, workers)
     counts = {cat: 0 for cat in CHANNEL_CATEGORIES}
     invalid = 0
@@ -411,6 +430,7 @@ def _state_census_block(n: int, count: int, rng) -> list:
 
 def state_census(n_samples: int, n: int = 2, seed: int = 0, workers: int = 1) -> dict:
     """Category counts for Hilbert-Schmidt random states (the fig2 dataset)."""
+    _import_solvers()
     blocks = fan_out(_state_census_block, (n,), n_samples, CENSUS_BLOCK, seed, workers)
     counts = {cat: 0 for cat in STATE_CATEGORIES}
     for block in blocks:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -441,3 +445,14 @@ def test_workers_env_fallback(monkeypatch, capsys):
     ])
     assert code == 0
     assert rep["category"] == "CSH"
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize is imported by the first robustness LP or NNLS fit;
+    # estimate, verify and qaoa runs never pay for it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, pauliprop.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
