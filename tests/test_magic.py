@@ -290,6 +290,7 @@ def test_dual_table_load_rejects_an_infeasible_row(monkeypatch, tmp_path):
         magic._dual_table.cache_clear()
 
 
+@pytest.mark.slow
 def test_certified_categories_match_lp_on_10k_states():
     """Categories equal the LP-only path, and no state the LP calls a
     stabilizer mixture gets a lower bound above 1 + LP_TOL."""
@@ -310,6 +311,7 @@ def test_certified_categories_match_lp_on_10k_states():
     assert np.all(bounds[members] <= 1 + LP_TOL)
 
 
+@pytest.mark.slow
 def test_certified_values_match_lp_per_mode(caplog):
     for m, mode in enumerate(MODES):
         rng = np.random.default_rng(300 + m)
