@@ -573,8 +573,8 @@ def _flipped_code(step, e):
     for word, delta in step.flips:
         bits = int(delta[e])
         for pos, q in enumerate(step.qubits):
-            if _word_shift(q)[0] == word:
-                shift = _word_shift(q)[1]
+            q_word, shift = _word_shift(q)
+            if q_word == word:
                 out |= ((bits >> shift) & 3) << (2 * pos)
                 bits &= ~(3 << shift)
         assert bits == 0, (word, e)
