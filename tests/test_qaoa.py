@@ -23,6 +23,7 @@ from pauliprop.qaoa import (
     vdn_estimate,
 )
 from pauliprop.exact import run_exact
+from pauliprop.fanout import block_rng
 
 
 def rng_for(seed):
@@ -134,6 +135,22 @@ def test_both_estimators_match_the_oracle():
     assert abs(total - want) <= eps_engine
     vdn = vdn_estimate(inst, params, 400_000, seed=9)
     assert abs(vdn - want) <= epsilon_nest(inst.m, 400_000, 0.01)
+
+
+# seeded nested estimates of one n = 16, m = 20 instance over one full and one
+# partial block, pinned from the estimator that rebuilt each term's parity
+VDN_PINS = {
+    (math.pi / 8, math.pi / 4): -2.3596266623133153,  # one column per term
+    (0.7, 0.3): 3.286320087078168,  # seven columns per term
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("angles", list(VDN_PINS))
+def test_vdn_seeded_estimates(angles, workers):
+    inst = generate_instance(16, 20, block_rng(5, 0))
+    value = vdn_estimate(inst, QaoaParams(*angles), 100_000, seed=3, workers=workers)
+    assert value == VDN_PINS[angles]
 
 
 def test_engine_epsilon_is_the_weighted_triangle_sum():
