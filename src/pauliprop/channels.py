@@ -249,10 +249,7 @@ def postselection_probability(normalized: np.ndarray, k: int) -> float:
 
 
 def choi_from_ptm(ptm: PTM) -> ChoiState:
-    phi = choi_matrix(ptm)
-    low = float(np.linalg.eigvalsh(phi)[0])
-    if low < -CP_EIGENVALUE_TOL:
-        raise NotCompletelyPositiveError(f"Choi eigenvalue {low:.2e} < 0")
+    phi = validate_cp(ptm)
     trace = float(np.trace(phi).real)
     if trace <= 0:
         raise NotCompletelyPositiveError("channel annihilates the Bell state; no Choi state")
@@ -298,12 +295,15 @@ def ptm_from_choi(normalized: np.ndarray) -> PTM:
     return PTM(np.einsum("cadb,iba,jcd->ij", t, basis, basis).real)
 
 
-def validate_cp(ptm: PTM, context: str = "channel"):
-    low = float(np.linalg.eigvalsh(choi_matrix(ptm))[0])
+def validate_cp(ptm: PTM, context: str = "channel") -> np.ndarray:
+    """The un-normalized Choi matrix of ptm, once its eigenvalues are checked."""
+    phi = choi_matrix(ptm)
+    low = float(np.linalg.eigvalsh(phi)[0])
     if low < -CP_EIGENVALUE_TOL:
         raise NotCompletelyPositiveError(
             f"{context}: Choi eigenvalue {low:.2e} below -{CP_EIGENVALUE_TOL}"
         )
+    return phi
 
 
 def _validated(ptm: PTM) -> PTM:

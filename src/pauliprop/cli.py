@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: estimate, verify, figures, qaoa, census, classify-channel, norms.
-Reports are JSON on stdout (or --output); figure and census datasets are CSV
-with one metadata comment line. Exit codes: 2 file parse errors, 3 validation
-errors, 4 cost-bound overflow, 5 oracle register too large.
+Reports are JSON on stdout (or --output), except from figures, which writes
+only its CSV; figure and census datasets are CSV with one metadata comment
+line. Exit codes: 2 file parse errors, 3 validation errors, 4 cost-bound
+overflow, 5 oracle register too large.
 """
 
 from __future__ import annotations
@@ -156,6 +157,11 @@ def _fig5_rows(samples: int, seed: int, workers: int):
     return ["mode", "category", "count", "fraction"], rows
 
 
+# the record fields of one QAOA run, as the qaoa --out and fig6 CSVs write them
+_QAOA_COLUMNS = ("gamma", "m", "n_samples", "C_heis", "C_vdn", "eps_heis",
+                 "eps_nest", "abs_err", "seconds")
+
+
 def _fig6_rows(samples: int, seed: int, workers: int):
     rng = block_rng(seed, 0)
     inst = qaoa.generate_instance(16, 20, rng)
@@ -163,11 +169,8 @@ def _fig6_rows(samples: int, seed: int, workers: int):
     for gamma in np.linspace(0.0, math.pi / 4, 9):
         rec = qaoa.run_experiment(inst, qaoa.QaoaParams(gamma=float(gamma)),
                                   samples, seed=seed, workers=workers)
-        rows.append((rec["gamma"], rec["m"], rec["n_samples"], rec["C_heis"],
-                     rec["C_vdn"], rec["eps_heis"], rec["eps_nest"],
-                     rec["abs_err"], rec["seconds"]))
-    return ["gamma", "m", "n_samples", "C_heis", "C_vdn", "eps_heis",
-            "eps_nest", "abs_err", "seconds"], rows
+        rows.append([rec[k] for k in _QAOA_COLUMNS])
+    return _QAOA_COLUMNS, rows
 
 
 _FIGURE_DEFAULT_SAMPLES = {"fig2": 10_000, "fig5": 2_500, "fig6": 100_000}
@@ -212,14 +215,10 @@ def _cmd_qaoa(args) -> int:
             fh.write("\n")
     params = qaoa.QaoaParams(gamma=args.gamma, beta=args.beta)
     rec = qaoa.run_experiment(inst, params, args.samples, delta=args.delta,
-                              seed=args.seed, workers=args.workers,
-                              lightcone=not args.no_lightcone)
+                              seed=args.seed, workers=args.workers)
     if args.out:
-        header = ["gamma", "m", "n_samples", "C_heis", "C_vdn", "eps_heis",
-                  "eps_nest", "abs_err", "seconds"]
-        row = [rec[k] if k != "n_samples" else rec["n_samples"] for k in header]
-        _write_csv(args.out, {"n": inst.n, "seed": args.seed,
-                              "beta": args.beta}, header, [row])
+        _write_csv(args.out, {"n": inst.n, "seed": args.seed, "beta": args.beta},
+                   _QAOA_COLUMNS, [[rec[k] for k in _QAOA_COLUMNS]])
     _emit(rec, args.output)
     return 0
 
@@ -283,13 +282,14 @@ def _cmd_norms(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_common(p, seed_required=True):
+def _add_common(p, seed_required=True, report=True):
     p.add_argument("--seed", type=int, required=seed_required,
                    help="RNG seed in [0, 2**64); results are deterministic per seed, "
                         "whatever the worker count")
     p.add_argument("--workers", type=int, default=1,
                    help="worker process count (default 1)")
-    p.add_argument("--output", help="write the JSON report here instead of stdout")
+    if report:
+        p.add_argument("--output", help="write the JSON report here instead of stdout")
 
 
 def _add_sampling(p):
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int,
                    help="sample count where applicable (defaults are desk-scale)")
     p.add_argument("--grid", type=int, default=41, help="fig1 grid points per axis")
-    _add_common(p)
+    _add_common(p, report=False)
     p.set_defaults(fn=_cmd_figures)
 
     p = sub.add_parser("qaoa", help="run the satisfiability-phase experiment")
@@ -344,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=math.pi / 4)
     p.add_argument("--samples", type=int, required=True, help="samples per term")
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--no-lightcone", action="store_true",
-                   help="walk every channel instead of the per-term lightcone")
     p.add_argument("--out", help="also append a CSV row here")
     _add_common(p)
     p.set_defaults(fn=_cmd_qaoa)

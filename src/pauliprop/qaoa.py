@@ -4,7 +4,9 @@ The cost observable C = (1/2) sum_j (-1)^{d_j} Z_a Z_b Z_c counts satisfied
 equations (as C + m/2) for the state e^{-i beta B} e^{-i gamma C} |+...+>.
 C is a sum of Pauli terms, so the harness runs one Heisenberg-propagation
 estimate per term with N samples each and combines linearly; the triangle
-inequality then reproduces the m prefactor of the eps_heis bound.
+inequality then reproduces the m prefactor of the eps_heis bound. Each term
+walks only its lightcone (build_term_circuit); the rest of the circuit would
+leave every Pauli of the walk unchanged.
 
 The cross-check estimator conjugates each term through the X-mixer layer
 analytically and samples uniform bitstrings, using
@@ -13,6 +15,10 @@ analytically and samples uniform bitstrings, using
 
 with dC(x) = C(x xor a) - C(x), which only involves equations overlapping a
 on an odd number of qubits. Its per-sample cost is independent of gamma.
+Every column reads one parity table pm_j(x) = (-1)^{x . t_j}: the Pauli of
+term t with X part a adds coeff * pm_t(x) * cos(gamma dC(x) + phase), with
+dC = pm @ w, w_j = -s_j on the equations a flips and 0 elsewhere (a sum of
++-1 terms, exact in any order), and phase pi/2 per Y letter.
 """
 
 from __future__ import annotations
@@ -164,10 +170,11 @@ def build_term_circuit(inst: E3Lin2Instance, params: QaoaParams, term: int,
                        lightcone: bool = True) -> Circuit:
     """Circuit whose observable is Z_a Z_b Z_c for one equation.
 
-    With lightcone=True only the diagonal rotations sharing a qubit with the
-    term (and the mixer rotations on the term's own qubits) are kept. Z-type
-    content never grows an X part under diagonal conjugation, so dropping the
-    rest changes nothing but the walk length.
+    With lightcone=True, which the estimators always use, only the diagonal
+    rotations sharing a qubit with the term (and the mixer rotations on the
+    term's own qubits) are kept: rotations on disjoint triples commute with a
+    walk whose X/Y letters stay on the term's qubits, and the other mixers see
+    only I. The full circuit is the reference that shows this is exact.
     """
     a, b, c, _ = inst.equations[term]
     channels = []
@@ -210,8 +217,7 @@ def _term_seed(seed: int, term: int) -> int:
 
 
 def heisenberg_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
-                        delta: float = 0.01, seed: int = 0, workers: int = 1,
-                        lightcone: bool = True):
+                        delta: float = 0.01, seed: int = 0, workers: int = 1):
     """Per-term Heisenberg estimates combined linearly.
 
     Returns (estimate, engine_epsilon): the second value is the triangle
@@ -221,8 +227,8 @@ def heisenberg_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int
     """
     check_seed(seed)
     weights = term_weights(inst)
-    terms = map_blocks(_term_estimate, (inst, params, n_samples, delta, seed, lightcone),
-                         inst.m, workers)
+    terms = map_blocks(_term_estimate, (inst, params, n_samples, delta, seed),
+                       inst.m, workers)
     total = 0.0
     eps = 0.0
     for weight, (mean, epsilon) in zip(weights, terms):
@@ -232,9 +238,9 @@ def heisenberg_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int
 
 
 def _term_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
-                   delta: float, seed: int, lightcone: bool, term: int) -> tuple[float, float]:
+                   delta: float, seed: int, term: int) -> tuple[float, float]:
     """(mean, epsilon) of one term; the terms are what gets spread over workers."""
-    rep = estimate(build_term_circuit(inst, params, term, lightcone), "heisenberg",
+    rep = estimate(build_term_circuit(inst, params, term), "heisenberg",
                    n_samples, delta=delta, seed=_term_seed(seed, term))
     return rep.mean, rep.epsilon
 
@@ -270,6 +276,8 @@ def vdn_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
     Per-sample totals are asserted against m/2 * (|cos 2b| + |sin 2b|)^3, the
     triangle bound on the conjugated coefficients.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     totals = fan_out(_vdn_block, (inst, params), n_samples, _VDN_BATCH, seed, workers)
     return sum(totals) / n_samples
 
@@ -281,46 +289,35 @@ def _vdn_block(inst: E3Lin2Instance, params: QaoaParams, count: int, rng) -> flo
     masks = inst.triple_masks()  # (m, n) 0/1
     eq_signs = inst.signs()
     weights = term_weights(inst)
-    paulis = _conjugated_paulis(params)
     base3 = (abs(math.cos(2 * params.beta)) + abs(math.sin(2 * params.beta))) ** 3
     bound = inst.m / 2 * base3 + 1e-9
 
-    # per (term, pauli): weight * coeff, the Y-position mask, overlap list
-    plan = []
-    for term in range(inst.m):
-        tq = np.array(inst.equations[term][:3])
-        for coeff, picks in paulis:
-            y_cols = tq[np.array(picks, dtype=bool)]
-            y_mask = np.zeros(inst.n, dtype=np.uint8)
-            y_mask[y_cols] = 1
-            if not y_mask.any():
+    columns = []  # (term, weight * coeff, w, phase) per Pauli with an X part
+    for term, eq in enumerate(inst.equations):
+        for coeff, picks in _conjugated_paulis(params):
+            y_cols = [q for q, pick in zip(eq[:3], picks) if pick]
+            if not y_cols:
                 continue  # no X part: exact expectation 0 (Z part is nonempty)
-            odd = np.where((masks @ y_mask) % 2 == 1)[0]
-            phase = len(y_cols) * math.pi / 2
-            plan.append((weights[term] * coeff, masks[term], odd, phase))
+            flipped = masks[:, y_cols].sum(axis=1) & 1
+            columns.append((term, weights[term] * coeff, -eq_signs * flipped,
+                            len(y_cols) * math.pi / 2))
 
     bits = rng.integers(0, 2, size=(count, inst.n), dtype=np.uint8)
-    eq_par = bits @ masks.T  # (count, m), parity mod 2 below
-    pm = 1.0 - 2.0 * (eq_par & 1)  # (-1)^{x . t_j}
+    pm = 1.0 - 2.0 * ((bits @ masks.T) & 1)  # (-1)^{x . t_j}: term j's Z part
     values = np.zeros(count)
-    for coeff, z_mask, odd, phase in plan:
-        dc = -(pm[:, odd] * eq_signs[odd]).sum(axis=1)
-        z_pm = 1.0 - 2.0 * ((bits @ z_mask) & 1)
-        values += coeff * z_pm * np.cos(params.gamma * dc + phase)
+    for term, coeff, w, phase in columns:
+        values += coeff * pm[:, term] * np.cos(params.gamma * (pm @ w) + phase)
     if np.abs(values).max(initial=0.0) > bound:
         raise AssertionError("per-sample value exceeded the triangle bound")
     return float(values.sum())
 
 
 def run_experiment(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
-                   delta: float = 0.01, seed: int = 0, workers: int = 1,
-                   lightcone: bool = True) -> dict:
+                   delta: float = 0.01, seed: int = 0, workers: int = 1) -> dict:
     """Both estimators plus their error bounds; n_samples counts per term."""
     t0 = perf_counter()
-    c_heis, eps_engine = heisenberg_estimate(
-        inst, params, n_samples, delta=delta, seed=seed, workers=workers,
-        lightcone=lightcone,
-    )
+    c_heis, eps_engine = heisenberg_estimate(inst, params, n_samples, delta=delta,
+                                             seed=seed, workers=workers)
     c_vdn = vdn_estimate(inst, params, n_samples, seed=(seed + 1) % SEED_LIMIT,
                          workers=workers)
     eps_h = epsilon_heis(inst.m, n_samples, delta, params.gamma)

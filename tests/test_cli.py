@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -431,6 +432,50 @@ def test_argparse_contracts(capsys):
     assert info.value.code == 0
     capsys.readouterr()
 
+
+# every settable option of each subcommand; adding or dropping a flag is an
+# edit of this table
+SUBCOMMAND_OPTIONS = {
+    "estimate": {"--circuit", "--direction", "--samples", "--epsilon", "--delta",
+                 "--seed", "--workers", "--output"},
+    "verify": {"--circuit", "--direction", "--samples", "--epsilon", "--delta",
+               "--seed", "--workers", "--output"},
+    "figures": {"--which", "--out", "--samples", "--grid", "--seed", "--workers"},
+    "qaoa": {"--n", "--m", "--instance", "--save-instance", "--gamma", "--beta",
+             "--samples", "--delta", "--out", "--seed", "--workers", "--output"},
+    "census": {"--samples", "--mode", "--out", "--seed", "--workers", "--output"},
+    "classify-channel": {"--spec", "--spec-file", "--mode", "--seed", "--workers",
+                         "--output"},
+    "norms": {"--spec", "--spec-file", "--seed", "--workers", "--output"},
+}
+
+
+def test_subcommand_options_are_pinned():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {opt for action in p._actions for opt in action.option_strings}
+        - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert got == SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    # figures writes only its CSV, so it takes no JSON report path
+    ["figures", "--which", "fig1", "--grid", "5", "--out", "f.csv", "--seed", "3",
+     "--output", "r.json"],
+    # every term walks its lightcone
+    ["qaoa", "--n", "8", "--m", "10", "--gamma", "0.2", "--samples", "10",
+     "--seed", "1", "--out", "q.csv", "--no-lightcone"],
+])
+def test_removed_flags_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    capsys.readouterr()
 
 
 def test_workers_env_fallback(monkeypatch, capsys):

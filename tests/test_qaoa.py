@@ -153,6 +153,13 @@ def test_vdn_seeded_estimates(angles, workers):
     assert value == VDN_PINS[angles]
 
 
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_vdn_refuses_fewer_than_one_sample(n_samples):
+    inst = generate_instance(8, 10, rng_for(3))
+    with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n_samples}"):
+        vdn_estimate(inst, QaoaParams(gamma=0.3), n_samples)
+
+
 def test_engine_epsilon_is_the_weighted_triangle_sum():
     inst = generate_instance(8, 10, rng_for(11))
     params = QaoaParams(gamma=math.pi / 16)
