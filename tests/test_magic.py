@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import logging
 import math
@@ -66,6 +67,23 @@ def test_stabilizer_state_counts():
     assert two.trace_matrix.shape == (16, 60)
     with pytest.raises(ValueError):
         enumerate_stabilizer_states(3)
+
+
+# (count, sha256 of the C-order int64 trace table) per qubit count
+_ENUMERATION_PINS = {
+    1: (6, "50e1d115d601d45595d1dee0087265c1aa39448b05d9dddac6e43bef6258e425"),
+    2: (60, "90b35faa0d71e8f0ab57c1debd443dc044478874ab9f1f28bfc4a707e91f357f"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_ENUMERATION_PINS))
+def test_stabilizer_enumeration_order_is_pinned(n):
+    count, digest = _ENUMERATION_PINS[n]
+    # the column order feeds the tight columns of the dual table and the NNLS
+    # and LP column order, so seeded robustness values depend on it
+    table = enumerate_stabilizer_states(n).trace_matrix
+    assert table.dtype == np.int64 and table.shape == (4**n, count)
+    assert hashlib.sha256(np.ascontiguousarray(table).tobytes()).hexdigest() == digest
 
 
 def test_stabilizer_states_have_unit_norm_and_are_distinct():
