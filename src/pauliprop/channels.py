@@ -283,9 +283,7 @@ def ptm_from_choi(normalized: np.ndarray) -> PTM:
     k = (dim2.bit_length() - 1) // 2
     if (2**k) ** 2 != dim2:
         raise ValueError(f"Choi dimension {dim2} is not 4^k")
-    low = float(np.linalg.eigvalsh(normalized)[0])
-    if low < -CP_EIGENVALUE_TOL:
-        raise NotCompletelyPositiveError(f"Choi eigenvalue {low:.2e} < 0")
+    _check_psd(normalized, "Choi state")  # p_lambda of a non-PSD matrix means nothing
     phi = postselection_probability(normalized, k) * normalized
     basis = pauli_basis(k)
     dim = 2**k
@@ -295,14 +293,19 @@ def ptm_from_choi(normalized: np.ndarray) -> PTM:
     return PTM(np.einsum("cadb,iba,jcd->ij", t, basis, basis).real)
 
 
-def validate_cp(ptm: PTM, context: str = "channel") -> np.ndarray:
-    """The un-normalized Choi matrix of ptm, once its eigenvalues are checked."""
-    phi = choi_matrix(ptm)
-    low = float(np.linalg.eigvalsh(phi)[0])
+def _check_psd(choi: np.ndarray, context: str):
+    """The one complete-positivity test: no Choi eigenvalue below -tol."""
+    low = float(np.linalg.eigvalsh(choi)[0])
     if low < -CP_EIGENVALUE_TOL:
         raise NotCompletelyPositiveError(
             f"{context}: Choi eigenvalue {low:.2e} below -{CP_EIGENVALUE_TOL}"
         )
+
+
+def validate_cp(ptm: PTM, context: str = "channel") -> np.ndarray:
+    """The un-normalized Choi matrix of ptm, once its eigenvalues are checked."""
+    phi = choi_matrix(ptm)
+    _check_psd(phi, context)
     return phi
 
 

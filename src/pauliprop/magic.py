@@ -78,13 +78,6 @@ CHANNEL_CATEGORIES = ("M", "C", "S", "H", "CS", "CH", "SH", "CSH")
 _log = logging.getLogger("pauliprop")
 
 
-@dataclass(frozen=True)
-class StabilizerSet:
-    n: int
-    states: tuple  # DenseOperator per pure stabilizer state
-    trace_matrix: np.ndarray  # (4^n, count) int64: column s holds Tr(sigma_i phi_s)
-
-
 def _clifford_generators(n: int) -> list:
     """The make_clifford PTMs of H and S on each qubit, then of CNOT on each
     ordered pair, on n qubits as int64 signed permutations: H0, S0, H1, S1,
@@ -100,35 +93,39 @@ def _clifford_generators(n: int) -> list:
     return gens
 
 
-@lru_cache(maxsize=None)
-def enumerate_stabilizer_states(n: int) -> StabilizerSet:
-    """Orbit of |0...0> under H, S and CNOT, walked on trace tables.
+def _orbit(starts, gens) -> np.ndarray:
+    """The closure of the integer arrays `starts` under left products with
+    `gens`, stacked breadth first in the order each array is first produced;
+    arrays dedupe by their bytes."""
+    seen = {a.tobytes(): a for a in starts}
+    frontier = list(seen.values())
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = g @ a
+                key = b.tobytes()
+                if key not in seen:
+                    seen[key] = b
+                    nxt.append(b)
+        frontier = nxt
+    return np.stack(list(seen.values()))
 
-    Stabilizer-state Pauli traces are 0 or +-1 and the Clifford PTMs are
-    signed permutations, so the tables stay exact integers and dedupe by
-    equality. Counts: 6 (n=1), 60 (n=2).
-    """
+
+@lru_cache(maxsize=None)
+def enumerate_stabilizer_states(n: int) -> np.ndarray:
+    """(4^n, count) int64, column s holding Tr(sigma_i phi_s): the orbit of
+    |0...0> under H, S and CNOT, walked on trace tables. Their entries are
+    0 or +-1 and the Clifford PTMs are signed permutations, so the walk stays
+    in exact integers. Counts: 6 (n=1), 60 (n=2)."""
     if n not in (1, 2):
         raise ValueError("stabilizer enumeration supports n in {1, 2} only")
-    gates = _clifford_generators(n)
     start = np.ones(1, dtype=np.int64)
     for _ in range(n):
         start = np.kron(start, [1, 0, 0, 1])  # |0><0| has trace 1 on I and Z
-    frontier = [start]
-    seen = {}
-    while frontier:
-        nxt = []
-        for table in frontier:
-            key = table.tobytes()
-            if key in seen:
-                continue
-            seen[key] = table
-            nxt.extend(g @ table for g in gates)
-        frontier = nxt
-    trace_matrix = np.column_stack(list(seen.values()))
-    trace_matrix.setflags(write=False)  # shared by every caller through the cache
-    states = tuple(DenseOperator.from_coeffs(t / 2**n, n) for t in trace_matrix.T)
-    return StabilizerSet(n, states, trace_matrix)
+    table = np.ascontiguousarray(_orbit([start], _clifford_generators(n)).T)
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
 
 
 # scipy.optimize is imported on first use: it takes about two thirds of
@@ -152,7 +149,7 @@ def _import_solvers():
 
 def _split_weights(n: int) -> np.ndarray:
     """[T, -T]: the constraint block over the weights q+ and q- of q = q+ - q-."""
-    trace = enumerate_stabilizer_states(n).trace_matrix
+    trace = enumerate_stabilizer_states(n)
     return np.hstack([trace, -trace])
 
 
@@ -168,11 +165,6 @@ def _min_weight(a_eq, b_eq):
     if res.status != 0:
         raise RuntimeError(f"robustness LP failed: {res.message}")
     return res
-
-
-def _solve_robustness(rho: DenseOperator):
-    """One dense LP, no certificates: the reference the tests compare against."""
-    return _min_weight(_split_weights(rho.k), rho.trace_table)
 
 
 def _lp_values(tables: np.ndarray, n: int) -> np.ndarray:
@@ -192,7 +184,7 @@ class DualTable:
 def _dual_table(n: int) -> DualTable:
     """The fixed certificate rows for n qubits, the identity row first;
     every row is checked to be feasible in integer arithmetic."""
-    trace = enumerate_stabilizer_states(n).trace_matrix
+    trace = enumerate_stabilizer_states(n)
     if n == 1:
         scaled = DUAL_DENOM * np.array([(0, *signs) for signs in product((-1, 1), repeat=3)])
     else:

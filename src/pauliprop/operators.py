@@ -23,6 +23,7 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
+TRACE_TOL = 1e-9  # largest |Tr(rho) - 1| of a density matrix
 
 _PAULI_1Q = (
     np.array([[1, 0], [0, 1]], dtype=complex),
@@ -102,10 +103,10 @@ class DenseOperator:
         t.setflags(write=False)
         return t
 
-    def is_state(self, trace_tol=1e-9, psd_tol=PSD_TOL) -> bool:
-        if abs(np.trace(self.matrix).real - 1.0) > trace_tol:
+    def is_state(self) -> bool:
+        if abs(np.trace(self.matrix).real - 1.0) > TRACE_TOL:
             return False
-        return float(np.linalg.eigvalsh(self.matrix)[0]) >= -psd_tol
+        return float(np.linalg.eigvalsh(self.matrix)[0]) >= -PSD_TOL
 
     def __repr__(self):
         return f"DenseOperator(k={self.k})"

@@ -96,14 +96,6 @@ class CostReport:
     observable_cost: float
     total_bound: float
 
-    def to_dict(self):
-        return {
-            "state_cost": self.state_cost,
-            "channel_costs": list(self.channel_costs),
-            "observable_cost": self.observable_cost,
-            "total_bound": self.total_bound,
-        }
-
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -119,9 +111,7 @@ class EstimateReport:
     sample_std: float
 
     def to_dict(self):
-        d = asdict(self)
-        d["cost"] = self.cost.to_dict()
-        return d
+        return asdict(self)
 
 
 def observable_trace_bound(e: FactoredState) -> float:

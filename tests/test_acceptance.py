@@ -126,7 +126,8 @@ def test_acceptance_3_property_suites():
     stab_dev = 0.0
     n_states = 0
     for n in (1, 2):
-        for s in enumerate_stabilizer_states(n).states:
+        for t in enumerate_stabilizer_states(n).T:
+            s = DenseOperator.from_coeffs(t / 2**n, n)
             stab_dev = max(stab_dev, abs(s.stabilizer_norm - 1.0))
             n_states += 1
 

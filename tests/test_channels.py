@@ -305,3 +305,11 @@ def test_ptm_from_choi_rejects_negative_choi():
     bad = np.diag([0.75, 0.5, 0.25, -0.5]).astype(complex)
     with pytest.raises(NotCompletelyPositiveError):
         ptm_from_choi(bad)
+
+
+def test_cp_failures_read_one_way():
+    message = r"^[\w ]+: Choi eigenvalue -5\.00e-01 below -1e-08$"
+    with pytest.raises(NotCompletelyPositiveError, match=message):
+        ptm_from_choi(np.diag([1.0, -0.5, 0.25, 0.25]))
+    with pytest.raises(NotCompletelyPositiveError, match=message):
+        validate_cp(PTM(np.diag([1.0, 1.0, -1.0, 1.0])))

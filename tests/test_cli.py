@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -416,6 +418,22 @@ def test_norms_report(capsys):
     assert rep["d_forward"] == pytest.approx(1.0, abs=1e-12)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_run(capsys):
+    text = README.read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    mean, _, epsilon, _, exact = capsys.readouterr().out.split()
+    assert abs(float(mean) - float(exact)) <= float(epsilon)
+    lines = re.findall(r"^pauliprop (?:classify-channel|norms) .*$", text, re.M)
+    assert len(lines) == 2
+    for line in lines:
+        code, rep = run_json(capsys, shlex.split(line)[1:])
+        assert code == 0 and "d_forward" in rep
+
+
 def test_argparse_contracts(capsys):
     with pytest.raises(SystemExit):
         cli.main(["estimate", "--circuit", "x.json", "--seed", "0"])  # no N/eps
@@ -444,9 +462,8 @@ SUBCOMMAND_OPTIONS = {
     "qaoa": {"--n", "--m", "--instance", "--save-instance", "--gamma", "--beta",
              "--samples", "--delta", "--out", "--seed", "--workers", "--output"},
     "census": {"--samples", "--mode", "--out", "--seed", "--workers", "--output"},
-    "classify-channel": {"--spec", "--spec-file", "--mode", "--seed", "--workers",
-                         "--output"},
-    "norms": {"--spec", "--spec-file", "--seed", "--workers", "--output"},
+    "classify-channel": {"--spec", "--spec-file", "--mode", "--output"},
+    "norms": {"--spec", "--spec-file", "--output"},
 }
 
 
@@ -468,6 +485,15 @@ def test_subcommand_options_are_pinned():
     # every term walks its lightcone
     ["qaoa", "--n", "8", "--m", "10", "--gamma", "0.2", "--samples", "10",
      "--seed", "1", "--out", "q.csv", "--no-lightcone"],
+    # a single channel's classification and norms draw no random numbers
+    ["classify-channel", "--spec", '{"gate": "h", "qubits": [0]}', "--seed", "0",
+     "--output", "r.json"],
+    ["classify-channel", "--spec", '{"gate": "h", "qubits": [0]}', "--workers", "2",
+     "--output", "r.json"],
+    ["norms", "--spec", '{"gate": "cnot", "qubits": [0, 1]}', "--seed", "0",
+     "--output", "r.json"],
+    ["norms", "--spec", '{"gate": "cnot", "qubits": [0, 1]}', "--workers", "2",
+     "--output", "r.json"],
 ])
 def test_removed_flags_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

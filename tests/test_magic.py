@@ -46,7 +46,8 @@ from pauliprop.magic import (
     robustness_many,
     sample_hilbert_schmidt,
     state_census,
-    _solve_robustness,
+    _min_weight,
+    _split_weights,
 )
 from pauliprop.operators import (
     DenseOperator,
@@ -59,12 +60,8 @@ from pauliprop.operators import (
 
 
 def test_stabilizer_state_counts():
-    one = enumerate_stabilizer_states(1)
-    two = enumerate_stabilizer_states(2)
-    assert len(one.states) == 6
-    assert len(two.states) == 60
-    assert one.trace_matrix.shape == (4, 6)
-    assert two.trace_matrix.shape == (16, 60)
+    assert enumerate_stabilizer_states(1).shape == (4, 6)
+    assert enumerate_stabilizer_states(2).shape == (16, 60)
     with pytest.raises(ValueError):
         enumerate_stabilizer_states(3)
 
@@ -81,19 +78,20 @@ def test_stabilizer_enumeration_order_is_pinned(n):
     count, digest = _ENUMERATION_PINS[n]
     # the column order feeds the tight columns of the dual table and the NNLS
     # and LP column order, so seeded robustness values depend on it
-    table = enumerate_stabilizer_states(n).trace_matrix
+    table = enumerate_stabilizer_states(n)
     assert table.dtype == np.int64 and table.shape == (4**n, count)
     assert hashlib.sha256(np.ascontiguousarray(table).tobytes()).hexdigest() == digest
 
 
 def test_stabilizer_states_have_unit_norm_and_are_distinct():
     for n in (1, 2):
-        sset = enumerate_stabilizer_states(n)
-        for op in sset.states:
+        trace = enumerate_stabilizer_states(n)
+        for t in trace.T:
+            op = DenseOperator.from_coeffs(t / 2**n, n)
             assert abs(op.stabilizer_norm - 1.0) < 1e-9
             assert op.is_state()
-        keys = {tuple(np.round(col, 9)) for col in sset.trace_matrix.T}
-        assert len(keys) == len(sset.states)
+        keys = {tuple(np.round(col, 9)) for col in trace.T}
+        assert len(keys) == trace.shape[1]
 
 
 def test_robustness_known_values():
@@ -128,30 +126,35 @@ def test_closed_form_matches_lp_on_random_qubit_states():
 
 
 def test_lp_solution_carries_a_duality_certificate():
-    sset = enumerate_stabilizer_states(1)
+    trace = enumerate_stabilizer_states(1)
     for rho in (h_state(), t_state(), zero_state()):
-        res = _solve_robustness(rho)
-        count = len(sset.states)
+        res = _lp(rho)
+        count = trace.shape[1]
         q = res.x[:count] - res.x[count:]
-        np.testing.assert_allclose(sset.trace_matrix @ q, rho.trace_table,
+        np.testing.assert_allclose(trace @ q, rho.trace_table,
                                    atol=1e-8)
         assert np.abs(q).sum() <= res.fun + 1e-9
         y = res.eqlin.marginals
         # dual feasibility ||T^T y||_inf <= 1 plus a matching objective proves
         # the LP value is the true minimum, not just a feasible weight
-        assert float(np.abs(sset.trace_matrix.T @ y).max()) <= 1.0 + 1e-7
+        assert float(np.abs(trace.T @ y).max()) <= 1.0 + 1e-7
         assert min(abs(y @ rho.trace_table - res.fun),
                    abs(y @ rho.trace_table + res.fun)) < 1e-7
 
 
+def _lp(rho):
+    """The robustness LP alone, no certificates: the one _lp_values solves."""
+    return _min_weight(_split_weights(rho.k), rho.trace_table)
+
+
 def _oracle_values(ops):
-    return np.array([_solve_robustness(op).fun for op in ops])
+    return np.array([_lp(op).fun for op in ops])
 
 
 def _lp_category(op):
     if op.stabilizer_norm > 1 + LP_TOL:
         return "magic"
-    if _solve_robustness(op).fun <= 1 + LP_TOL:
+    if _lp(op).fun <= 1 + LP_TOL:
         return "stabilizer_mixture"
     return "hyper_octahedral_nonstab"
 
@@ -282,14 +285,13 @@ def test_dual_table_rows_are_exactly_feasible():
     stored = np.loadtxt(data, dtype=np.int64, ndmin=2)
     assert stored.shape[1] == 16 and len(stored) > 100
     assert np.abs(stored).max() <= 127  # DUAL_DENOM * y fits int8
-    trace = np.rint(enumerate_stabilizer_states(2).trace_matrix).astype(np.int64)
-    assert np.abs(stored @ trace).max() <= DUAL_DENOM
+    assert np.abs(stored @ enumerate_stabilizer_states(2)).max() <= DUAL_DENOM
     for n in (1, 2):
         table = magic._dual_table(n)
-        sset = enumerate_stabilizer_states(n)
+        trace = enumerate_stabilizer_states(n)
         np.testing.assert_array_equal(table.rows[0], np.eye(4**n)[0])
-        assert np.abs(table.rows @ sset.trace_matrix).max() <= 1 + 1e-12
-        tight = np.isclose(np.abs(table.rows @ sset.trace_matrix), 1.0)
+        assert np.abs(table.rows @ trace).max() <= 1 + 1e-12
+        tight = np.isclose(np.abs(table.rows @ trace), 1.0)
         np.testing.assert_array_equal(table.tight != 0, tight)
     assert len(magic._dual_table(1).rows) == 9
 
@@ -391,26 +393,37 @@ def _dense_generators():
 
 def test_table_generator_steps():
     gen = _generator()
-    sset = enumerate_stabilizer_states(2)
-    keys = {tuple(col) for col in np.rint(sset.trace_matrix.T).astype(int)}
-    group = gen.clifford_group()
+    trace = enumerate_stabilizer_states(2)
+    keys = {tuple(col) for col in trace.T}
+    gens = magic._clifford_generators(2)
+    group = magic._orbit([np.eye(16, dtype=np.int64)], gens)
     assert len(group) == 11520
     assert np.all(np.abs(group).sum(axis=1) == 1)  # signed permutations
     for g in group[::97]:
-        assert {tuple(col) for col in (g @ np.rint(sset.trace_matrix)).astype(int).T} == keys
+        assert {tuple(col) for col in (g @ trace).T} == keys
 
     # a dual maps to g^T y: the bound it gives t equals the one y gives g t
     rng = np.random.default_rng(5)
     rho = sample_hilbert_schmidt(2, rng)
-    y = gen.exact_dual(_solve_robustness(rho).eqlin.marginals)
-    assert y is not None and np.abs(y @ sset.trace_matrix).max() <= DUAL_DENOM
-    for g, u in zip(magic._clifford_generators(2), _dense_generators(), strict=True):
+    y = gen.exact_dual(_lp(rho).eqlin.marginals)
+    assert y is not None and np.abs(y @ trace).max() <= DUAL_DENOM
+    for g, u in zip(gens, _dense_generators(), strict=True):
         np.testing.assert_array_equal(g, np.rint(make_unitary_ptm(u).matrix))
-        image = gen.orbit(y, g[None])
-        assert image.shape == (1, 16)
         moved = DenseOperator(u @ rho.matrix @ u.conj().T)
-        assert abs(image[0] @ rho.trace_table - y @ moved.trace_table) < 1e-9
-    assert len(gen.orbit(y, group)) <= 11520
+        assert abs((g.T @ y) @ rho.trace_table - y @ moved.trace_table) < 1e-9
+
+    # the walk under the transposed generators gives each orbit {g^T y}, and
+    # one walk from several rows gives the sorted union of their orbits
+    stored = np.rint(magic._dual_table(2).rows[[1, -1]] * DUAL_DENOM).astype(np.int64)
+    rows = [y, *stored]
+    for row in rows:
+        orbit = gen.orbits(row[None])
+        assert len(orbit) <= 11520
+        assert {tuple(r) for r in orbit} == {tuple(r) for r in np.einsum("gji,j->gi", group, row)}
+    np.testing.assert_array_equal(
+        gen.orbits(np.stack(rows)),
+        np.unique(np.concatenate([gen.orbits(row[None]) for row in rows]), axis=0))
+
     # rows that are not exact multiples of 1/DUAL_DENOM, or are infeasible,
     # never enter the table
     assert gen.exact_dual(np.eye(16)[0] / 7) is None

@@ -12,10 +12,11 @@ network access:
    HiGHS's equality marginals as y.
 2. Keep y as the integer row DUAL_DENOM * y, and only if that row is exact and
    feasible in integer arithmetic (exact_dual).
-3. Expand every kept row to its orbit under the two-qubit Clifford group,
-   which maps the stabilizer set onto itself (Heinrich & Gross, Quantum 3,
-   132, 2019): the 11520 signed permutations by which the closure of H, S
-   and CNOT acts on trace tables.
+3. Expand the kept rows to the union of their orbits under the two-qubit
+   Clifford group, which maps the stabilizer set onto itself (Heinrich &
+   Gross, Quantum 3, 132, 2019): the 11520 signed permutations by which the
+   closure of H, S and CNOT acts on trace tables. The rows are walked under
+   the transposed generators, so the group itself is never built.
 4. Keep only the orbit rows that give the largest <y, t> for at least one
    input of PRUNE seeded inputs per family (on different seeds), where the
    identity row and the stabilizer-norm row sign(t)/4, which magic always
@@ -48,6 +49,7 @@ from pauliprop.magic import (
     MODES,
     _clifford_generators,
     _min_weight,
+    _orbit,
     _split_weights,
     enumerate_stabilizer_states,
     project_ptm,
@@ -92,33 +94,17 @@ def exact_dual(y: np.ndarray) -> np.ndarray | None:
     if np.abs(DUAL_DENOM * y - row).max() > 1e-6:
         return None
     row = row.astype(np.int64)
-    if np.abs(row @ enumerate_stabilizer_states(2).trace_matrix).max() > DUAL_DENOM:
+    if np.abs(row @ enumerate_stabilizer_states(2)).max() > DUAL_DENOM:
         return None
     return row
 
 
-def clifford_group() -> np.ndarray:
-    """All 11520 signed permutations generated by H, S and CNOT, (g, 16, 16)."""
-    gens = _clifford_generators(2)
-    seen = {np.eye(16, dtype=np.int64).tobytes(): np.eye(16, dtype=np.int64)}
-    frontier = list(seen.values())
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                p = h @ g
-                key = p.tobytes()
-                if key not in seen:
-                    seen[key] = p
-                    nxt.append(p)
-        frontier = nxt
-    return np.stack([seen[k] for k in sorted(seen)])
-
-
-def orbit(row: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """The distinct rows g^T y over the group: <g^T y, t> = <y, g t>, so the
-    image of y bounds the input that g maps t to exactly as y bounds t."""
-    return np.unique(np.einsum("gji,j->gi", group, row), axis=0)
+def orbits(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows g^T y over the group and the given rows y, sorted:
+    <g^T y, t> = <y, g t>, so the image of y bounds the input that g maps t to
+    exactly as y bounds t. The transposed generators generate the transposed
+    group, so one walk under them from every row gives the union of the orbits."""
+    return np.unique(_orbit(rows, [g.T for g in _clifford_generators(2)]), axis=0)
 
 
 def prune(rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
@@ -143,9 +129,7 @@ def build() -> np.ndarray:
             row = exact_dual(_min_weight(block, t).eqlin.marginals)
             if row is not None:
                 duals.append(row)
-    group = clifford_group()
-    rows = np.unique(np.concatenate([orbit(row, group) for row in np.unique(duals, axis=0)]),
-                     axis=0)
+    rows = orbits(np.unique(duals, axis=0))
     prune_set = np.concatenate([family_tables(family, PRUNE, block_rng(PRUNE_SEED, f))
                                 for f, family in enumerate(FAMILIES)])
     return rows[prune(rows, prune_set)]
