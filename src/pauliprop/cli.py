@@ -282,10 +282,6 @@ def _cmd_norms(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_output(p):
-    p.add_argument("--output", help="write the JSON report here instead of stdout")
-
-
 def _add_common(p, report=True):
     p.add_argument("--seed", type=int, required=True,
                    help="RNG seed in [0, 2**64); results are deterministic per seed, "
@@ -293,7 +289,7 @@ def _add_common(p, report=True):
     p.add_argument("--workers", type=int, default=1,
                    help="worker process count (default 1)")
     if report:
-        _add_output(p)
+        p.add_argument("--output", help="write the JSON report here instead of stdout")
 
 
 def _add_sampling(p):
@@ -364,14 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--spec", help="channel spec as an inline JSON object")
     spec.add_argument("--spec-file", help="channel spec JSON path")
     p.add_argument("--mode", choices=list(magic.MODES), default="general")
-    _add_output(p)
+    p.add_argument("--output", help="write the JSON report here instead of stdout")
     p.set_defaults(fn=_cmd_classify_channel)
 
     p = sub.add_parser("norms", help="print cost norms for one channel spec")
     spec = p.add_mutually_exclusive_group(required=True)
     spec.add_argument("--spec", help="channel spec as an inline JSON object")
     spec.add_argument("--spec-file", help="channel spec JSON path")
-    _add_output(p)
+    p.add_argument("--output", help="write the JSON report here instead of stdout")
     p.set_defaults(fn=_cmd_norms)
 
     return parser

@@ -100,10 +100,9 @@ def exact_dual(y: np.ndarray) -> np.ndarray | None:
 
 
 def orbits(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows g^T y over the group and the given rows y, sorted:
-    <g^T y, t> = <y, g t>, so the image of y bounds the input that g maps t to
-    exactly as y bounds t. The transposed generators generate the transposed
-    group, so one walk under them from every row gives the union of the orbits."""
+    """The sorted distinct images g^T y of the rows y over the group, from one
+    walk under the transposed generators, which generate the transposed group.
+    <g^T y, t> = <y, g t>, so g^T y bounds t exactly as y bounds g t."""
     return np.unique(_orbit(rows, [g.T for g in _clifford_generators(2)]), axis=0)
 
 
