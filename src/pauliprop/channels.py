@@ -155,7 +155,7 @@ def make_reset(rho: DenseOperator) -> PTM:
     Bloch vector including the identity component. Hence D(Lambda) is that
     column's L1 norm and D(Lambda^dag) = 1 (each row has one entry, <= 1).
     """
-    if not rho.is_state():
+    if not rho.is_state:
         raise ValueError("reset target must be a valid density matrix")
     size = 4**rho.k
     r = np.zeros((size, size))

@@ -123,8 +123,8 @@ def _fig1_rows(grid: int):
     zi_iz = pauli_matrix(3, 2) + pauli_matrix(12, 2)
     points = [(float(x), float(y), DenseOperator(base + x * xx_zz_yy + y * zi_iz))
               for x in np.linspace(-0.3, 0.3, grid) for y in np.linspace(-0.3, 0.3, grid)]
-    categories = iter(magic.classify_states([op for _, _, op in points if op.is_state()]))
-    rows = [(x, y, next(categories) if op.is_state() else "not_a_state")
+    categories = iter(magic.classify_states([op for _, _, op in points if op.is_state]))
+    rows = [(x, y, next(categories) if op.is_state else "not_a_state")
             for x, y, op in points]
     return ["x", "y", "category"], rows
 

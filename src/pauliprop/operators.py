@@ -62,7 +62,8 @@ class DenseOperator:
     """Hermitian matrix on k <= 3 qubits with cached Pauli data.
 
     Treated as immutable after construction; the matrix is marked read-only
-    so the cached coefficient vector and trace table stay valid.
+    so the cached coefficient vector, trace table and state check stay
+    valid.
     """
 
     def __init__(self, matrix):
@@ -103,7 +104,9 @@ class DenseOperator:
         t.setflags(write=False)
         return t
 
+    @cached_property
     def is_state(self) -> bool:
+        """Unit trace and positive semidefinite (one eigvalsh, then cached)."""
         if abs(np.trace(self.matrix).real - 1.0) > TRACE_TOL:
             return False
         return float(np.linalg.eigvalsh(self.matrix)[0]) >= -PSD_TOL
@@ -147,7 +150,7 @@ class FactoredState:
 
     def validate_state(self):
         for qubits, op in self.factors:
-            if not op.is_state():
+            if not op.is_state:
                 raise ValueError(f"factor on qubits {qubits} is not a valid state")
 
     def dense(self) -> np.ndarray:

@@ -40,6 +40,12 @@ nothing: a factor A is a deterministic step whose mult is its trace table
 Tr(sigma A) in code order, so a batch walks one list of steps from start to
 finish.
 
+Compiled steps are cached. A channel's tables are tabulated once per PTM
+object and direction (R or R^T), and a start factor's once per DenseOperator,
+then placed once per qubit tuple; all of it lives as long as that object does,
+for the cache holds it weakly. A fused run of 1-qubit finish factors is keyed
+on its trace tables' bytes, in a small LRU. Every cached array is read-only.
+
 Sampling streams: the samples are cut into batches of BATCH_SIZE, and batch b
 draws from its own Philox generator keyed by (seed, b) (see fanout). Batch
 sums are added in batch order, so a run is bit-reproducible for fixed
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, asdict
 from functools import lru_cache
 
@@ -203,6 +210,8 @@ def _spread(codes: np.ndarray, qubits) -> tuple:
         word, bit = _word_bit(q)
         digit = ((codes >> (2 * pos)) & 3).astype(np.uint64) << np.uint64(bit)
         deltas[word] = deltas[word] | digit if word in deltas else digit
+    for d in deltas.values():
+        d.setflags(write=False)
     return tuple((word, d) for word, d in sorted(deltas.items()) if d.any())
 
 
@@ -251,6 +260,28 @@ class _Step:
 
 
 _FINISH_BLOCK_QUBITS = 8
+# a fused table holds up to 4^8 float64 entries (512 KiB): keep few
+_FINISH_CACHE_SIZE = 4
+
+
+# PTM or DenseOperator -> {direction or "start": its _tabulate table, and
+# (that key, qubits): the table placed on those qubits}. An entry goes when its
+# owner does, so the cache never outgrows the live PTMs and operators.
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _cached_step(owner, key, r: np.ndarray, qubits) -> _Step:
+    """_place(_tabulate(r), qubits): tabulated once per (owner, key), which
+    must determine r, and placed once per qubit tuple."""
+    cache = _TABLES.get(owner)
+    if cache is None:
+        cache = _TABLES[owner] = {}
+    qubits = tuple(qubits)
+    if (key, qubits) not in cache:
+        if key not in cache:
+            cache[key] = _tabulate(r)
+        cache[key, qubits] = _place(cache[key], qubits)
+    return cache[key, qubits]
 
 
 def _compile_start(state: FactoredState) -> tuple:
@@ -260,7 +291,7 @@ def _compile_start(state: FactoredState) -> tuple:
     const_coeff = 1.0
     random_factors = []
     for qubits, op in state.factors:
-        step = _place(_tabulate(op.coeffs[:, None]), qubits)
+        step = _cached_step(op, "start", op.coeffs[:, None], qubits)
         if not step.mult.any():
             raise ValueError(f"zero operator on qubits {qubits} (D = 0)")
         if step.m == 1:
@@ -273,17 +304,14 @@ def _compile_start(state: FactoredState) -> tuple:
 
 
 def _compile_steps(circuit: Circuit, direction: str) -> list:
-    # circuits repeat a few gates: tabulate each distinct PTM once, then place
-    # its tables on the qubits of every application
-    tables = {}
-    steps = []
-    apps = circuit.channels if direction == "schrodinger" else tuple(reversed(circuit.channels))
-    for app in apps:
-        if app.ptm not in tables:
-            r = app.ptm.matrix if direction == "schrodinger" else app.ptm.matrix.T
-            tables[app.ptm] = _tabulate(r)
-        steps.append(_place(tables[app.ptm], app.qubits))
-    return steps
+    # circuits repeat a few gates, and sweeps repeat whole circuits: each PTM
+    # is tabulated once per direction, and placed once per qubit tuple, for
+    # as long as the PTM object lives
+    if direction == "schrodinger":
+        return [_cached_step(app.ptm, direction, app.ptm.matrix, app.qubits)
+                for app in circuit.channels]
+    return [_cached_step(app.ptm, direction, app.ptm.matrix.T, app.qubits)
+            for app in reversed(circuit.channels)]
 
 
 def _tabulate(r: np.ndarray) -> tuple:
@@ -316,7 +344,10 @@ def _tabulate(r: np.ndarray) -> tuple:
         out[c, : len(s)] = s
         out[c, len(s):] = s[-1]
     flips = (order[out] ^ np.arange(size)[:, None]).ravel()
-    return m, cum, mult.ravel(), flips
+    mult = mult.ravel()
+    for a in (cum, mult, flips):
+        a.setflags(write=False)
+    return m, cum, mult, flips
 
 
 def _place(table: tuple, qubits) -> _Step:
@@ -325,11 +356,23 @@ def _place(table: tuple, qubits) -> _Step:
                  not mult.all())
 
 
-def _finish_step(qubits, table: np.ndarray) -> _Step:
-    """The step that multiplies by a finish factor's trace table (PTM order)."""
-    mult = table[_code_order(len(qubits))]
+def _finish_step(qubits, mult: np.ndarray) -> _Step:
+    """The step that multiplies by a finish table, in code order."""
     return _Step(tuple(qubits), _gather_plan(qubits), 1, np.ones((0, len(mult))), mult,
                  (), not mult.all())
+
+
+@lru_cache(maxsize=_FINISH_CACHE_SIZE)
+def _fused_finish(tables: tuple) -> np.ndarray:
+    """Code-order table of a run of 1-qubit finish factors, from the bytes of
+    their trace tables in qubit order. Keyed on content, because sweeps build
+    equal factors afresh (|+> on every qubit of every QAOA term)."""
+    table = np.frombuffer(tables[0])
+    for t in tables[1:]:
+        table = np.kron(np.frombuffer(t), table)  # the first qubit is the low digit
+    mult = table[_code_order(len(tables))]
+    mult.setflags(write=False)
+    return mult
 
 
 def _compile_finish(state: FactoredState) -> list:
@@ -338,9 +381,9 @@ def _compile_finish(state: FactoredState) -> list:
     others = []
     for qubits, op in state.factors:
         if len(qubits) == 1:
-            singles[qubits[0]] = op.trace_table
+            singles[qubits[0]] = op.trace_table.tobytes()
         else:
-            others.append(_finish_step(qubits, op.trace_table))
+            others.append(_finish_step(qubits, op.trace_table[_code_order(len(qubits))]))
     # fuse runs of consecutive qubits into one table, so a run of up to
     # _FINISH_BLOCK_QUBITS qubits in one word costs one shift and mask
     runs = []
@@ -349,12 +392,8 @@ def _compile_finish(state: FactoredState) -> list:
             runs[-1].append(q)
         else:
             runs.append([q])
-    blocks = []
-    for run in runs:
-        table = singles[run[0]]
-        for q in run[1:]:
-            table = np.kron(singles[q], table)  # the first qubit is the low digit
-        blocks.append(_finish_step(run, table))
+    blocks = [_finish_step(run, _fused_finish(tuple(singles[q] for q in run)))
+              for run in runs]
     return blocks + others
 
 

@@ -15,10 +15,12 @@ analytically and samples uniform bitstrings, using
 
 with dC(x) = C(x xor a) - C(x), which only involves equations overlapping a
 on an odd number of qubits. Its per-sample cost is independent of gamma.
-Every column reads one parity table pm_j(x) = (-1)^{x . t_j}: the Pauli of
-term t with X part a adds coeff * pm_t(x) * cos(gamma dC(x) + phase), with
-dC = pm @ w, w_j = -s_j on the equations a flips and 0 elsewhere (a sum of
-+-1 terms, exact in any order), and phase pi/2 per Y letter.
+Every column reads one parity table pm_j(x) = (-1)^{x . t_j}, whose bit
+x_a ^ x_b ^ x_c is XORed from the sampled bit columns of equation j's triple
+(a, b, c). The Pauli of term t with X part a adds
+coeff * pm_t(x) * cos(gamma dC(x) + phase), with dC = pm @ w, w_j = -s_j on
+the equations a flips and 0 elsewhere (a sum of +-1 terms, exact in any
+order), and phase pi/2 per Y letter.
 """
 
 from __future__ import annotations
@@ -303,7 +305,11 @@ def _vdn_block(inst: E3Lin2Instance, params: QaoaParams, count: int, rng) -> flo
                             len(y_cols) * math.pi / 2))
 
     bits = rng.integers(0, 2, size=(count, inst.n), dtype=np.uint8)
-    pm = 1.0 - 2.0 * ((bits @ masks.T) & 1)  # (-1)^{x . t_j}: term j's Z part
+    a, b, c = np.array([eq[:3] for eq in inst.equations]).T
+    parity = bits[:, a]  # x_a ^ x_b ^ x_c per term, XORed in place
+    parity ^= bits[:, b]
+    parity ^= bits[:, c]
+    pm = 1.0 - 2.0 * parity  # (-1)^{x . t_j}: term j's Z part
     values = np.zeros(count)
     for term, coeff, w, phase in columns:
         values += coeff * pm[:, term] * np.cos(params.gamma * (pm @ w) + phase)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pauliprop import cli
@@ -284,6 +285,19 @@ def test_fig1_grid_21_is_pinned():
     _, rows = cli._fig1_rows(21)
     cats = "".join(_FIG1_CODES[row[2]] for row in rows)
     assert [cats[i:i + 21] for i in range(0, 21 * 21, 21)] == _FIG1_GRID_21
+
+
+def test_fig1_checks_each_grid_point_once(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def eigvalsh(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    cli._fig1_rows(41)
+    assert len(calls) == 41 * 41
 
 
 # fig3 category column: for each of the 25 angles, the 31 fidelities run

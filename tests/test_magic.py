@@ -89,7 +89,7 @@ def test_stabilizer_states_have_unit_norm_and_are_distinct():
         for t in trace.T:
             op = DenseOperator.from_coeffs(t / 2**n, n)
             assert abs(op.stabilizer_norm - 1.0) < 1e-9
-            assert op.is_state()
+            assert op.is_state
         keys = {tuple(np.round(col, 9)) for col in trace.T}
         assert len(keys) == trace.shape[1]
 
@@ -470,7 +470,7 @@ def test_sample_hilbert_schmidt_produces_states():
     for n in (1, 2):
         rho = sample_hilbert_schmidt(n, rng)
         assert rho.k == n
-        assert rho.is_state()
+        assert rho.is_state
         assert np.linalg.eigvalsh(rho.matrix)[0] > -1e-12
 
 

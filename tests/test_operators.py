@@ -87,7 +87,7 @@ def test_norm_of_named_states():
 
 def test_library_states_are_states():
     for name, factory in LIBRARY_STATES.items():
-        assert factory().is_state(), name
+        assert factory().is_state, name
 
 
 def test_trace_table_of_zero_state():

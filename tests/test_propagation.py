@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -639,6 +640,84 @@ def test_compiled_steps_decode_to_their_ptm(direction):
         assert step.qubits == qubits
         np.testing.assert_allclose(_decode_step(step), op.coeffs[:, None],
                                    rtol=0, atol=1e-15)
+
+
+def test_cached_tables_keep_their_direction_and_are_read_only():
+    # the same PTM objects compiled S -> H -> S with the cache warm: a cache
+    # keyed without the direction would walk S^T where S is due
+    state = FactoredState.of_qubit_states([t_state()] * 3)
+    for direction in ("schrodinger", "heisenberg", "schrodinger"):
+        for ptm in _library_channels():
+            circ = Circuit(3, state, [ChannelApplication(ptm, (2, 0, 1)[:ptm.k])], state)
+            compiled = compile_circuit(circ, direction)
+            (step,) = compiled.steps
+            want = ptm.matrix if direction == "schrodinger" else ptm.matrix.T
+            np.testing.assert_allclose(_decode_step(step), want, rtol=0, atol=1e-11)
+            _, cum, mult, flips = propagation._TABLES[ptm][direction]
+            assert step.cum is cum and step.mult is mult
+            assert compile_circuit(circ, direction).steps[0] is step  # placed once
+            steps = compiled.start + compiled.steps + compiled.finish
+            for table in (cum, mult, flips, *(s.mult for s in steps),
+                          *(delta for s in steps for _, delta in s.flips)):
+                assert not table.flags.writeable
+
+
+def test_table_cache_lets_its_ptms_go():
+    state = FactoredState.of_qubit_states([zero_state()] * 2)
+    compile_circuit(Circuit(2, state, [], state), "heisenberg")
+    gc.collect()
+    before = len(propagation._TABLES)
+    ptms = [make_rotation(0.001 * i) for i in range(1000)]
+    for ptm in ptms:
+        compile_circuit(Circuit(2, state, [ChannelApplication(ptm, (1,))], state), "heisenberg")
+    assert len(propagation._TABLES) == before + 1000
+    del ptms, ptm
+    gc.collect()
+    assert len(propagation._TABLES) == before
+    # fused finish runs are keyed by content, so that cache has a fixed size
+    for i in range(10):
+        obs = FactoredState.of_qubit_states([DenseOperator.from_coeffs([1, 0, 0, 0.1 * i], 1)] * 2)
+        compile_circuit(Circuit(2, state, [], obs), "schrodinger")
+    info = propagation._fused_finish.cache_info()
+    assert info.currsize == info.maxsize == propagation._FINISH_CACHE_SIZE
+
+
+def test_clifford_walks_equal_their_nonzero_exact_values():
+    """Acceptance 5's gate mix on 8 qubits, S included, with Pauli
+    observables, kept when the exact value is +-1. The Heisenberg walk is
+    deterministic and equals it; a Schrodinger sample draws |0><0| = (I + Z)/2
+    per qubit, so each one is 0 or exactly 2^8 times the value."""
+    n = 8
+    rng = np.random.default_rng(2024)
+    paulis = [DenseOperator(pauli_matrix(i, 1)) for i in range(4)]
+    start = FactoredState.of_qubit_states([zero_state()] * n)
+    kept = []
+    for _ in range(36):
+        channels, gates = [], set()
+        for _ in range(24):
+            if rng.random() < 0.3:
+                a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+                gate = "cnot" if rng.random() < 0.5 else "cz"
+                qubits = (a, b)
+            else:
+                gate = ("h", "s", "x", "y", "z")[int(rng.integers(5))]
+                qubits = (int(rng.integers(n)),)
+            channels.append(ChannelApplication(make_clifford(gate), qubits))
+            gates.add(gate)
+        letters = [0 if rng.random() < 0.75 else int(rng.integers(1, 4)) for _ in range(n)]
+        circ = Circuit(n, start, channels, FactoredState.of_qubit_states(
+            [paulis[i] for i in letters]))
+        value = run_exact(circ)
+        if abs(abs(value) - 1) < 1e-9:
+            kept.append((circ, round(value), gates))
+    assert len(kept) >= 5 and {value for _, value, _ in kept} == {1, -1}
+    assert any("s" in gates for _, _, gates in kept)
+    for circ, value, _ in kept:
+        rep = estimate(circ, "heisenberg", 1000, seed=3)
+        assert rep.mean == value and rep.sample_std == 0.0
+        total, total_sq = propagation._run_batch(compile_circuit(circ, "schrodinger"),
+                                                 1 << 14, np.random.default_rng(5))
+        assert total != 0 and total_sq == 2**n * value * total
 
 
 def _finish_table(step):

@@ -1,9 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from pauliprop import qaoa
+from pauliprop import propagation, qaoa
 
 from pauliprop.propagation import cost_report, hoeffding_epsilon
 from pauliprop.qaoa import (
@@ -231,3 +232,34 @@ def test_rotation_ptms_are_built_once_per_angle(monkeypatch):
     assert sorted(builds) == [(2, 2), (8, 8), (8, 8)]
     heisenberg_estimate(inst, params, 10, seed=2)
     assert len(builds) == 3
+
+
+def test_step_tables_are_tabulated_once_per_source(monkeypatch):
+    shapes, placed = [], []
+    real_tabulate, real_place = propagation._tabulate, propagation._place
+
+    def tabulate(r):
+        shapes.append(r.shape)
+        return real_tabulate(r)
+
+    def place(table, qubits):
+        placed.append(qubits)
+        return real_place(table, qubits)
+
+    monkeypatch.setattr(propagation, "_tabulate", tabulate)
+    monkeypatch.setattr(propagation, "_place", place)
+    monkeypatch.setattr(propagation, "_TABLES", weakref.WeakKeyDictionary())
+    propagation._fused_finish.cache_clear()
+    inst = generate_instance(8, 10, rng_for(11))
+    assert {eq[3] for eq in inst.equations} == {0, 1}
+    params = QaoaParams(gamma=0.3, beta=0.2)
+    heisenberg_estimate(inst, params, 10, seed=1)
+    # Heisenberg tables of the +gamma and -gamma rotations and the mixer,
+    # and the start tables of the Z and identity observable factors
+    assert sorted(shapes) == [(4, 1), (4, 1), (4, 4), (64, 64), (64, 64)]
+    first_placements = len(placed)
+    heisenberg_estimate(inst, params, 10, seed=2)
+    assert len(shapes) == 5 and len(placed) == first_placements
+    # the |+>^8 finish run is fused once, then found by content
+    info = propagation._fused_finish.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * inst.m - 1)
