@@ -38,6 +38,8 @@ class PTM:
         k = max((len(matrix).bit_length() - 1) // 2, 0)
         if 4**k != len(matrix):
             raise ValueError(f"PTM dimension {len(matrix)} is not a power of 4")
+        if not np.isfinite(matrix).all():
+            raise ValueError("PTM has non-finite entries")
         self.k = k
         self.matrix = matrix.copy()
         self.matrix.setflags(write=False)

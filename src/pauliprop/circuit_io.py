@@ -13,7 +13,8 @@ Factor specs carry exactly one of "state" (library name), "pauli" (string over
 IXYZ, one character per listed qubit), or "matrix" (2^k x 2^k, entries either
 real numbers or [re, im] pairs). Channel specs carry exactly one of "gate",
 "rotation", "depolarize", "measure_z", "reset", "adaptive", "ptm". Errors name
-the offending path, e.g. "channels[3].rotation".
+the offending path, e.g. "channels[3].rotation". Numbers must be finite, and
+JSON's true and false are not numbers.
 
 JSON that fails to decode is a parse error (SpecParseError); decoded content
 that violates the format is a validation error (SpecValidationError).
@@ -30,6 +31,7 @@ from . import channels as ch
 from .operators import (
     DenseOperator,
     LIBRARY_STATES,
+    MAX_FACTOR_QUBITS,
     maximally_mixed,
     pauli_matrix,
 )
@@ -56,10 +58,19 @@ def _require(cond: bool, path: str, message: str):
         raise SpecValidationError(f"{path}: {message}")
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # bool subclasses int
+
+
+def _is_number(v) -> bool:
+    # json.load reads NaN, Infinity and -Infinity as floats
+    return (_is_integer(v) or isinstance(v, float)) and math.isfinite(v)
+
+
 def _qubit_list(obj: dict, path: str, n: int | None) -> tuple:
     _require("qubits" in obj, path, "missing 'qubits'")
     qs = obj["qubits"]
-    _require(isinstance(qs, list) and qs and all(isinstance(q, int) for q in qs),
+    _require(isinstance(qs, list) and qs and all(_is_integer(q) for q in qs),
              f"{path}.qubits", "must be a nonempty list of integers")
     _require(len(set(qs)) == len(qs), f"{path}.qubits", "qubits repeat")
     if n is not None:
@@ -69,11 +80,11 @@ def _qubit_list(obj: dict, path: str, n: int | None) -> tuple:
 
 
 def _complex_entry(v, path: str) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(t, (int, float)) for t in v):
+    if isinstance(v, list) and len(v) == 2 and all(_is_number(t) for t in v):
         return complex(v[0], v[1])
-    raise SpecValidationError(f"{path}: entries must be numbers or [re, im] pairs")
+    raise SpecValidationError(f"{path}: entries must be finite numbers or [re, im] pairs")
 
 
 def _parse_matrix(rows, path: str) -> np.ndarray:
@@ -96,6 +107,8 @@ def parse_factor(obj, path: str, n: int | None = None):
     _require(len(keys) == 1, path, f"need exactly one of {FACTOR_KEYS}")
     kind = keys[0]
     k = len(qubits)
+    _require(k <= MAX_FACTOR_QUBITS, f"{path}.qubits",
+             f"a factor acts on at most {MAX_FACTOR_QUBITS} qubits")
     if kind == "state":
         name = obj["state"]
         _require(isinstance(name, str) and name in LIBRARY_STATES, f"{path}.state",
@@ -140,13 +153,12 @@ def _bare_channel(obj: dict, kind: str, path: str, k: int) -> ch.PTM:
         _require(ptm.k == k, f"{path}.gate", f"'{name}' acts on {ptm.k} qubit(s), not {k}")
         return ptm
     if kind == "rotation":
-        _require(isinstance(val, (int, float)) and math.isfinite(val),
-                 f"{path}.rotation", "must be a finite number")
+        _require(_is_number(val), f"{path}.rotation", "must be a finite number")
         _require(k == 1, f"{path}.rotation", "rotations are single-qubit")
         return ch.make_rotation(float(val))
     if kind == "depolarize":
-        _require(isinstance(val, (int, float)) and 0.0 <= val <= 1.0,
-                 f"{path}.depolarize", "fidelity must be in [0, 1]")
+        _require(_is_number(val) and 0.0 <= val <= 1.0,
+                 f"{path}.depolarize", "fidelity must be a number in [0, 1]")
         _require(k == 1, f"{path}.depolarize", "depolarizing is single-qubit")
         return ch.make_depolarizing(float(val))
     if kind == "measure_z":
@@ -200,7 +212,7 @@ def parse_circuit(obj) -> Circuit:
     for key in ("n", "input", "channels", "observable"):
         _require(key in obj, "circuit", f"missing '{key}'")
     n = obj["n"]
-    _require(isinstance(n, int) and n >= 1, "circuit.n", "must be a positive integer")
+    _require(_is_integer(n) and n >= 1, "circuit.n", "must be a positive integer")
     _require(isinstance(obj["input"], list), "circuit.input", "must be a list")
     _require(isinstance(obj["channels"], list), "circuit.channels", "must be a list")
     _require(isinstance(obj["observable"], list), "circuit.observable", "must be a list")
@@ -231,17 +243,17 @@ def parse_instance(obj) -> E3Lin2Instance:
     for key in ("n", "equations"):
         _require(key in obj, "instance", f"missing '{key}'")
     n = obj["n"]
-    _require(isinstance(n, int) and n >= 3, "instance.n", "must be an integer >= 3")
+    _require(_is_integer(n) and n >= 3, "instance.n", "must be an integer >= 3")
     eqs = obj["equations"]
     _require(isinstance(eqs, list) and eqs, "instance.equations", "must be a nonempty list")
     parsed = []
     for i, eq in enumerate(eqs):
         _require(isinstance(eq, list) and len(eq) == 4
-                 and all(isinstance(v, int) for v in eq),
+                 and all(_is_integer(v) for v in eq),
                  f"instance.equations[{i}]", "must be [a, b, c, d] integers")
         parsed.append(tuple(eq))
     m = obj.get("m", len(parsed))
-    _require(m == len(parsed), "instance.m", "does not match the equation count")
+    _require(_is_integer(m) and m == len(parsed), "instance.m", "does not match the equation count")
     try:
         return E3Lin2Instance(n, len(parsed), tuple(parsed))
     except ValueError as e:

@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_estimate)
 
-    p = sub.add_parser("verify", help="compare estimates with the dense oracle (n <= 8)")
+    p = sub.add_parser("verify", help="compare estimates with the exact oracle (n <= 8)")
     p.add_argument("--circuit", required=True)
     p.add_argument("--direction", choices=["schrodinger", "heisenberg", "both"],
                    default="both")

@@ -1,25 +1,26 @@
-"""Ground-truth engines: dense density-matrix simulation and Kraus application.
+"""Exact oracle in Pauli space, plus dense Kraus tools.
 
-Everything here is deliberately independent of the sampling machinery so it
-can act as an oracle for it. Channels are applied by converting the PTM to a
-dense superoperator on the affected subsystem: the PTM stays the single
-source of channel truth, there is no second channel encoding.
-
-Register cap n <= 8 (256 x 256 densities, 4^k x 4^k local superoperators).
+`run_exact` carries the input's Pauli trace table t_i = Tr(sigma_i rho), a
+(4,)*n tensor with axis q for qubit q, through each PTM as t -> R t on the
+channel's digit axes, and returns Tr(E rho) = 2^-n <t_E, t>. It shares the
+PTMs and the factors' trace tables with the propagation engine, but none of
+its compiled tables, code order, lanes or sampling, so it can act as their
+oracle. Register cap n <= 8 (4^8 traces). The dense helpers work on 2^n x 2^n
+matrices; tests use them to check the oracle against a Kraus simulation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .operators import pauli_basis
+from .operators import coeffs_from_matrix, pauli_basis
 
 ORACLE_MAX_QUBITS = 8
 KRAUS_COMPLETENESS_TOL = 1e-8
 
 
 class OracleTooLargeError(Exception):
-    """Raised when a circuit exceeds the dense oracle's register cap."""
+    """Raised when a circuit exceeds the oracle's register cap."""
 
 
 def embed_operator(op: np.ndarray, qubits, n: int) -> np.ndarray:
@@ -32,47 +33,11 @@ def embed_operator(op: np.ndarray, qubits, n: int) -> np.ndarray:
     low = np.kron(np.eye(2 ** (n - k), dtype=complex), op)
     b = np.arange(2**n)
     fmap = np.zeros(2**n, dtype=np.intp)
-    for pos, q in enumerate(qubits):
+    for pos, q in enumerate(list(qubits) + rest):
         fmap |= ((b >> pos) & 1) << q
-    for j, q in enumerate(rest):
-        fmap |= ((b >> (k + j)) & 1) << q
     out = np.zeros_like(low)
     out[fmap[:, None], fmap[None, :]] = low
     return out
-
-
-def ptm_to_superoperator(r: np.ndarray, k: int) -> np.ndarray:
-    """Dense 4^k x 4^k superoperator K with vec_row(Lambda(X)) = K vec_row(X).
-
-    From Lambda(sigma_j) = sum_i R_ij sigma_i and Tr-orthogonality:
-    K[(a,b),(d,c)] = sum_ij sigma_i[a,b] R_ij sigma_j[c,d] / 2^k.
-    """
-    dim = 2**k
-    basis = pauli_basis(k)
-    v = basis.reshape(4**k, dim * dim)
-    w = basis.transpose(0, 2, 1).reshape(4**k, dim * dim)
-    return v.T @ r.astype(complex) @ w / dim
-
-
-def apply_ptm_dense(rho: np.ndarray, r: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Apply a k-qubit PTM to the listed qubits of an n-qubit density matrix."""
-    k = len(qubits)
-    dim = 2**k
-    super_op = ptm_to_superoperator(r, k)
-
-    t = rho.reshape((2,) * (2 * n))
-    # row axis of qubit q is n-1-q, column axis is 2n-1-q; order the moved
-    # axes most-significant-first so the combined index is (a*dim + b)
-    row_axes = [n - 1 - q for q in reversed(qubits)]
-    col_axes = [2 * n - 1 - q for q in reversed(qubits)]
-    src = row_axes + col_axes
-    t = np.moveaxis(t, src, range(2 * k))
-    shape_rest = t.shape[2 * k:]
-    t = t.reshape(dim * dim, -1)
-    t = super_op @ t
-    t = t.reshape((2,) * (2 * k) + shape_rest)
-    t = np.moveaxis(t, range(2 * k), src)
-    return t.reshape(2**n, 2**n)
 
 
 def apply_kraus(ops, rho: np.ndarray) -> np.ndarray:
@@ -88,15 +53,30 @@ def apply_kraus(ops, rho: np.ndarray) -> np.ndarray:
 
 def kraus_to_ptm(ops, k: int) -> np.ndarray:
     """PTM entries R_ij = 2^{-k} Tr(sigma_i sum_K K sigma_j K^dag)."""
-    from .operators import coeffs_from_matrix
-
     ops = [np.asarray(op, dtype=complex) for op in ops]
     r = np.zeros((4**k, 4**k))
-    for j in range(4**k):
-        sigma = pauli_basis(k)[j]
+    for j, sigma in enumerate(pauli_basis(k)):
         out = sum(op @ sigma @ op.conj().T for op in ops)
         r[:, j] = coeffs_from_matrix(out, k)
     return r
+
+
+def _trace_tensor(state) -> np.ndarray:
+    """Tr(sigma A) of a FactoredState as a (4,)*n tensor, axis q for qubit q."""
+    table, qubits = np.ones(1), ()
+    for qs, op in state.factors:
+        table = np.kron(op.trace_table, table)  # earlier factors on the low digits
+        qubits += qs
+    # a C-order reshape puts the most significant digit, qubits[-1], first
+    return table.reshape((4,) * state.n).transpose(np.argsort(qubits[::-1]))
+
+
+def _apply_local(t: np.ndarray, m: np.ndarray, qubits) -> np.ndarray:
+    """Apply a 4^k x 4^k matrix to the axes of `qubits` of a (4,)*n tensor."""
+    k = len(qubits)
+    axes = list(reversed(qubits))  # m's reshaped axes run from the top digit down
+    out = np.tensordot(m.reshape((4,) * (2 * k)), t, axes=(range(k, 2 * k), axes))
+    return np.moveaxis(out, range(k), axes)
 
 
 def run_exact(circuit) -> float:
@@ -104,8 +84,7 @@ def run_exact(circuit) -> float:
     n = circuit.n
     if n > ORACLE_MAX_QUBITS:
         raise OracleTooLargeError(f"n={n} exceeds the oracle cap {ORACLE_MAX_QUBITS}")
-    rho = circuit.input.dense()
+    t = _trace_tensor(circuit.input)
     for app in circuit.channels:
-        rho = apply_ptm_dense(rho, app.ptm.matrix, app.qubits, n)
-    e = circuit.observable.dense()
-    return float(np.trace(e @ rho).real)
+        t = _apply_local(t, app.ptm.matrix, app.qubits)
+    return float(np.sum(_trace_tensor(circuit.observable) * t)) / 2**n

@@ -24,6 +24,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-9  # largest |Tr(rho) - 1| of a density matrix
+MAX_FACTOR_QUBITS = 3
 
 _PAULI_1Q = (
     np.array([[1, 0], [0, 1]], dtype=complex),
@@ -72,8 +73,10 @@ class DenseOperator:
             raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
         dim = matrix.shape[0]
         k = dim.bit_length() - 1
-        if 2**k != dim or k > 3:
-            raise ValueError(f"dimension {dim} is not 2^k with k <= 3")
+        if 2**k != dim or k > MAX_FACTOR_QUBITS:
+            raise ValueError(f"dimension {dim} is not 2^k with k <= {MAX_FACTOR_QUBITS}")
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix has non-finite entries")
         if np.abs(matrix - matrix.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian within 1e-10")
         self.k = k
@@ -154,15 +157,14 @@ class FactoredState:
                 raise ValueError(f"factor on qubits {qubits} is not a valid state")
 
     def dense(self) -> np.ndarray:
-        """Full 2^n x 2^n matrix (for oracle use on small registers)."""
-        # factors may interleave qubits, so multiply register-sized embeddings
+        """Full 2^n x 2^n matrix, for checks on small registers."""
         from .exact import embed_operator
-
-        acc = None
-        for qubits, op in self.factors:
-            emb = embed_operator(op.matrix, qubits, self.n)
-            acc = emb if acc is None else acc @ emb
-        return acc
+        # earlier factors on the low bits, as qubits[pos] is bit pos of embed_operator
+        acc, qubits = np.ones((1, 1), dtype=complex), ()
+        for qs, op in self.factors:
+            acc = np.kron(op.matrix, acc)
+            qubits += qs
+        return embed_operator(acc, qubits, self.n)
 
 
 def stabilizer_norm_factored(s: FactoredState) -> float:

@@ -76,6 +76,9 @@ def test_ptm_shape_validation():
         PTM(np.ones((3, 3)))
     with pytest.raises(ValueError, match="square"):
         PTM(np.ones((16, 4)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            PTM(np.diag([1.0, bad, 1.0, 1.0]))
 
 
 def test_channel_application_validation():

@@ -106,6 +106,74 @@ def test_validation_failure_is_exit_3(tmp_path, capsys):
     assert err["error"]["type"] == "validation"
 
 
+def _set(obj, path, value):
+    *keys, last = path
+    for key in keys:
+        obj = obj[key]
+    obj[last] = value
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("where,value,named", [
+    (("input", 0), {"matrix": [[NAN, 0], [0, 1]], "qubits": [0]}, "input[0].matrix[0][0]"),
+    (("input", 0), {"matrix": [[True, 0], [0, 0]], "qubits": [0]}, "input[0].matrix[0][0]"),
+    (("observable", 0),
+     {"matrix": [[1, 0, 0, 0], [0, [0, -INF], 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+      "qubits": [0, 1]}, "observable[0].matrix[1][1]"),
+    (("channels", 2), {"ptm": [[1, 0, 0, 0], [0, NAN, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                       "qubits": [1]}, "channels[2].ptm[1][1]"),
+    (("channels", 2, "rotation"), NAN, "channels[2].rotation"),
+    (("channels", 2, "rotation"), -INF, "channels[2].rotation"),
+    (("channels", 2, "rotation"), True, "channels[2].rotation"),
+    (("channels", 3, "depolarize"), True, "channels[3].depolarize"),
+    (("channels", 3, "depolarize"), NAN, "channels[3].depolarize"),
+    (("channels", 0, "qubits"), [False], "channels[0].qubits"),
+    (("n",), True, "circuit.n"),
+])
+def test_non_finite_or_boolean_number_is_exit_3(tmp_path, capsys, where, value, named):
+    obj = circuit_obj()
+    _set(obj, where, value)
+    path = write_circuit(tmp_path, obj)  # json.dumps writes NaN and Infinity
+    code = cli.main(["estimate", "--circuit", path, "--samples", "10", "--seed", "0"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert err["error"]["message"].startswith(named + ":")
+
+
+@pytest.mark.parametrize("obj,named", [
+    ({"n": True, "equations": [[0, 1, 2, 0]]}, "instance.n"),
+    ({"n": 3, "equations": [[0, 1, 2, True]]}, "instance.equations[0]"),
+    ({"n": 3, "equations": [[0, 1, NAN, 0]]}, "instance.equations[0]"),
+    ({"n": 3, "m": True, "equations": [[0, 1, 2, 0]]}, "instance.m"),
+])
+def test_non_integer_instance_entry_is_exit_3(tmp_path, capsys, obj, named):
+    path = write_circuit(tmp_path, obj, "inst.json")
+    code = cli.main(["qaoa", "--instance", path, "--gamma", "0.1", "--samples", "10",
+                     "--seed", "0"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["message"].startswith(named + ":")
+
+
+@pytest.mark.parametrize("factor", [
+    {"pauli": "ZZZZ", "qubits": [0, 1, 2, 3]},
+    {"state": "maximally_mixed", "qubits": [3, 1, 0, 2]},
+    {"matrix": np.eye(16).tolist(), "qubits": [0, 1, 2, 3]},
+])
+def test_factor_on_four_qubits_is_exit_3(tmp_path, capsys, factor):
+    obj = {"n": 4, "input": [{"state": "maximally_mixed", "qubits": [0, 1, 2]},
+                             {"state": "zero", "qubits": [3]}],
+           "channels": [], "observable": [factor]}
+    code = cli.main(["estimate", "--circuit", write_circuit(tmp_path, obj),
+                     "--samples", "10", "--seed", "0"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["message"] == "observable[0].qubits: a factor acts on at most 3 qubits"
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--samples", "100", "--delta", "0"],
     ["estimate", "--samples", "100", "--delta", "1.5"],
@@ -435,7 +503,7 @@ def test_norms_report(capsys):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_examples_run(capsys):
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     text = README.read_text()
     (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
     exec(compile(block, "README.md", "exec"), {})
@@ -446,6 +514,16 @@ def test_readme_examples_run(capsys):
     for line in lines:
         code, rep = run_json(capsys, shlex.split(line)[1:])
         assert code == 0 and "d_forward" in rep
+    # the circuit file, then the estimate and verify lines that read it
+    (circuit,) = re.findall(r"```json\n(.*?)```", text, re.S)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "circ.json").write_text(circuit)
+    (estimate,) = re.findall(r"^pauliprop estimate .*$", text, re.M)
+    code, rep = run_json(capsys, shlex.split(estimate)[1:])
+    assert code == 0 and set(rep) == {"schrodinger", "heisenberg", "discrepancy"}
+    (verify,) = re.findall(r"^pauliprop verify .*$", text, re.M)
+    code, rep = run_json(capsys, shlex.split(verify)[1:])
+    assert code == 0 and rep["passed"]
 
 
 def test_argparse_contracts(capsys):

@@ -54,6 +54,9 @@ def test_dense_operator_validation():
         DenseOperator(np.eye(16))
     with pytest.raises(ValueError, match="Hermitian"):
         DenseOperator(np.array([[0, 1], [0, 0]]))
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            DenseOperator(np.array([[bad, 0], [0, 1]]))
 
 
 def test_from_coeffs_shape_check():
