@@ -31,7 +31,7 @@ from .circuit_io import (
     parse_channel,
 )
 from .exact import OracleTooLargeError, run_exact
-from .fanout import block_rng
+from .fanout import block_rng, map_blocks
 from .operators import DenseOperator, pauli_matrix
 from .propagation import BoundOverflowError, estimate, plan_samples
 
@@ -135,15 +135,27 @@ def _fig2_rows(samples: int, seed: int, workers: int):
     return ["category", "count", "fraction"], rows
 
 
-def _fig3_rows():
-    grid = [(float(f), float(theta)) for theta in np.linspace(0.0, math.pi / 2, 25)
-            for f in np.linspace(0.4, 1.0, 31)]
-    records = magic.classify_ptms(
-        [compose(make_depolarizing(f), make_rotation(theta)) for f, theta in grid])
-    rows = [(f, theta, rec.d_forward, rec.d_adjoint, rec.category,
-             1.0 / (abs(math.cos(theta)) + abs(math.sin(theta))))
-            for (f, theta), rec in zip(grid, records)]
+_FIG3_THETAS = np.linspace(0.0, math.pi / 2, 25)
+_FIG3_FS = np.linspace(0.4, 1.0, 31)
+
+
+def _fig3_rows(workers: int):
+    magic._import_solvers()  # before a first fan-out forks the pool
+    blocks = map_blocks(_fig3_block, (), len(_FIG3_THETAS), workers)
+    rows = [row for block in blocks for row in block]
     return ["f", "theta", "d_forward", "d_adjoint", "category", "diamond_f"], rows
+
+
+def _fig3_block(b: int) -> list:
+    """The fig3 rows of the b-th theta. Only the letters are printed, so the
+    channels are classified without exact robustness values."""
+    theta = float(_FIG3_THETAS[b])
+    fs = [float(f) for f in _FIG3_FS]
+    records = magic.classify_ptms(
+        [compose(make_depolarizing(f), make_rotation(theta)) for f in fs], exact=False)
+    diamond = 1.0 / (abs(math.cos(theta)) + abs(math.sin(theta)))
+    return [(f, theta, rec.d_forward, rec.d_adjoint, rec.category, diamond)
+            for f, rec in zip(fs, records)]
 
 
 def _fig5_rows(samples: int, seed: int, workers: int):
@@ -188,7 +200,7 @@ def _cmd_figures(args) -> int:
     elif args.which == "fig2":
         header, rows = _fig2_rows(samples, args.seed, args.workers)
     elif args.which == "fig3":
-        header, rows = _fig3_rows()
+        header, rows = _fig3_rows(args.workers)
     elif args.which == "fig5":
         header, rows = _fig5_rows(samples, args.seed, args.workers)
     else:

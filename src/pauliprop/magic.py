@@ -316,7 +316,7 @@ def sample_hilbert_schmidt(n: int, rng: np.random.Generator) -> DenseOperator:
 class ClassificationRecord:
     d_forward: float
     d_adjoint: float
-    robustness: float
+    robustness: float | None  # None from classify_ptms(..., exact=False)
     category: str
 
 
@@ -347,17 +347,21 @@ def classify_ptm(ptm: PTM) -> ClassificationRecord:
     return _channel_record(ptm, float(_robustness(_choi_table(ptm)[None], 2, exact=True)[0]))
 
 
-def _channel_record(ptm: PTM, r: float) -> ClassificationRecord:
+def _channel_record(ptm: PTM, r: float, exact: bool = True) -> ClassificationRecord:
     d_fwd = channel_norm(ptm)
     d_adj = adjoint_norm(ptm)
     letters = "".join(letter for letter, value in (("C", r), ("S", d_fwd), ("H", d_adj))
                       if _at_most_one(value))
-    return ClassificationRecord(d_fwd, d_adj, r, letters or "M")
+    return ClassificationRecord(d_fwd, d_adj, r if exact else None, letters or "M")
 
 
-def classify_ptms(ptms) -> list:
+def classify_ptms(ptms, exact: bool = True) -> list:
     """classify_ptm for every PTM, with the Choi-state robustness values
-    taken in one batch; the entry of a PTM with no Choi state is None."""
+    taken in one batch; the entry of a PTM with no Choi state is None.
+
+    With exact=False only the categories are settled: as in classify_states,
+    a certified lower bound above 1+tol settles the C letter without an exact
+    value, and every record's robustness is None."""
     ptms, tables = list(ptms), []
     for ptm in ptms:
         try:
@@ -365,8 +369,8 @@ def classify_ptms(ptms) -> list:
         except NotCompletelyPositiveError:
             tables.append(None)
     valid = [t for t in tables if t is not None]
-    values = iter(_robustness(np.reshape(valid, (len(valid), 16)), 2, exact=True).tolist())
-    return [None if t is None else _channel_record(ptm, next(values))
+    values = iter(_robustness(np.reshape(valid, (len(valid), 16)), 2, exact=exact).tolist())
+    return [None if t is None else _channel_record(ptm, next(values), exact)
             for ptm, t in zip(ptms, tables)]
 
 

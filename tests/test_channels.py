@@ -30,7 +30,13 @@ from pauliprop.channels import (
     validate_cp,
 )
 from pauliprop.exact import kraus_to_ptm
-from pauliprop.operators import DenseOperator, coeffs_from_matrix, h_state, t_state
+from pauliprop.operators import (
+    DenseOperator,
+    coeffs_from_matrix,
+    h_state,
+    pauli_basis,
+    t_state,
+)
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 S = np.diag([1, 1j]).astype(complex)
@@ -235,6 +241,21 @@ def test_make_unitary_ptm_agrees_with_tables():
                                make_clifford("h").matrix, atol=1e-12)
     np.testing.assert_allclose(make_unitary_ptm(CNOT).matrix,
                                make_clifford("cnot").matrix, atol=1e-12)
+
+
+def test_choi_matrix_matches_the_plain_contraction():
+    # from two qubits on choi_matrix contracts R with one basis first; the
+    # sums then run in another order, so they agree to rounding only
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3):
+        g = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
+        ptm = make_unitary_ptm(np.linalg.qr(g)[0])
+        basis = pauli_basis(k)
+        want = np.einsum("ij,jdc,iab->cadb", ptm.matrix, basis, basis)
+        got = choi_matrix(ptm)
+        np.testing.assert_allclose(got, want.reshape(got.shape) / 4**k, rtol=0, atol=1e-13)
+        if k == 1:
+            np.testing.assert_array_equal(got, want.reshape(got.shape) / 4)
 
 
 def test_choi_round_trip_on_library_channels():

@@ -380,7 +380,7 @@ _FIG3_RUNS = [
 
 
 def test_fig3_category_column_is_pinned():
-    _, rows = cli._fig3_rows()
+    _, rows = cli._fig3_rows(1)
     want = [cat for csh, sh, m in _FIG3_RUNS
             for cat in ["CSH"] * csh + ["SH"] * sh + ["M"] * m]
     assert [row[4] for row in rows] == want

@@ -1,5 +1,13 @@
 """Seeded results are bit-identical for any worker count, on every parallel API."""
 
+import logging
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +18,7 @@ from pauliprop.channels import (
     make_depolarizing,
     make_rotation,
 )
-from pauliprop.fanout import block_rng, fan_out
+from pauliprop.fanout import block_rng, fan_out, map_blocks
 from pauliprop.magic import classification_census, state_census
 from pauliprop.operators import DenseOperator, FactoredState, h_state, pauli_matrix, t_state
 from pauliprop.propagation import BATCH_SIZE, Circuit, estimate
@@ -19,6 +27,7 @@ from pauliprop.qaoa import (
     _VDN_BATCH,
     generate_instance,
     heisenberg_estimate,
+    run_experiment,
     vdn_estimate,
 )
 
@@ -115,29 +124,81 @@ def test_heisenberg_estimate_is_worker_count_invariant():
     assert results[1] == results[0] and results[2] == results[0]
 
 
-def test_heisenberg_estimate_starts_one_pool(monkeypatch):
-    starts = []
+@pytest.fixture
+def pool_starts(caplog):
+    """The worker count of each pool started from here on, read from the
+    pool-start records; the shared pool is shut down first."""
+    fanout._drop_pool()
+    caplog.set_level(logging.DEBUG, logger="pauliprop")
+    return lambda: [rec.pool["workers"] for rec in caplog.records if hasattr(rec, "pool")]
 
-    class CountingPool(fanout.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            starts.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(fanout, "ProcessPoolExecutor", CountingPool)
+def _pid(b):
+    return os.getpid()
+
+
+def _exit_in_block_one(b):
+    if b == 1:
+        os._exit(1)
+    return b
+
+
+def test_heisenberg_estimate_starts_one_pool(pool_starts):
     inst = generate_instance(8, 10, np.random.default_rng(3))
-    # two blocks per term, so a pool per term would start ten pools
-    heisenberg_estimate(inst, QaoaParams(gamma=0.4), BATCH_SIZE + 10, seed=9, workers=2)
-    assert starts == [2]
+    # ten terms, then two nested-estimator blocks: a pool per call would start two
+    run_experiment(inst, QaoaParams(gamma=0.4), _VDN_BATCH + 10, seed=9, workers=2)
+    assert pool_starts() == [2]
+    run_experiment(inst, QaoaParams(gamma=0.4), _VDN_BATCH + 10, seed=9, workers=2)
     heisenberg_estimate(inst, QaoaParams(gamma=0.4), 100, seed=9, workers=1)
-    assert starts == [2]
+    assert pool_starts() == [2]
+    old = set(map_blocks(_pid, (), 4, 2))
+    heisenberg_estimate(inst, QaoaParams(gamma=0.4), 100, seed=9, workers=3)
+    assert pool_starts() == [2, 3]
+    for pid in old:  # shut down and reaped
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
-def test_census_csv_rows_are_worker_count_invariant(tmp_path, capsys):
+def test_a_pool_is_never_wider_than_its_blocks(pool_starts):
+    assert len(set(map_blocks(_pid, (), 3, 8))) <= 3
+    assert pool_starts() == [3]
+
+
+def test_a_dead_worker_fails_only_its_call(pool_starts):
+    with pytest.raises(BrokenProcessPool):
+        map_blocks(_exit_in_block_one, (), 4, 2)
+    assert map_blocks(_draws_of_block, (), 4, 2) == [_draws_of_block(b) for b in range(4)]
+    assert pool_starts() == [2, 2]
+
+
+def _draws_of_block(b):
+    return block_rng(1, b).random(3).tolist()
+
+
+def test_no_worker_outlives_the_cli(tmp_path):
+    src = str(Path(fanout.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pauliprop.cli", "census", "--samples", "40", "--seed", "1",
+         "--workers", "2", "--output", str(tmp_path / "census.json")],
+        env={**os.environ, "PYTHONPATH": src}, start_new_session=True)
+    assert proc.wait(timeout=120) == 0
+    try:
+        os.killpg(proc.pid, 0)  # the workers share the CLI's process group
+    except ProcessLookupError:
+        return
+    os.killpg(proc.pid, signal.SIGKILL)
+    pytest.fail("a worker outlived the CLI")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["census", "--samples", "24", "--seed", "7", "--mode", "general"], id="census"),
+    pytest.param(["figures", "--which", "fig3", "--seed", "7"], id="fig3"),
+])
+def test_csv_rows_are_worker_count_invariant(tmp_path, capsys, argv):
     rows = []
     for w in WORKERS:
-        out = tmp_path / f"census_{w}.csv"
-        assert cli.main(["census", "--samples", "24", "--seed", "7", "--mode", "general",
-                         "--workers", str(w), "--out", str(out)]) == 0
+        out = tmp_path / f"out_{w}.csv"
+        assert cli.main(argv + ["--workers", str(w), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert f"workers={w}" in lines[0]  # the metadata line still records it
         rows.append(lines[1:])

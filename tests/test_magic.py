@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import logging
@@ -245,6 +246,21 @@ def test_batched_classifiers_accept_generators():
     assert len(classify_ptms(p for p in ptms)) == 9
     np.testing.assert_array_equal(robustness_many(op for op in states),
                                   robustness_many(states))
+
+
+def test_letters_only_classification_skips_exact_values(caplog):
+    ptms = [compose(make_depolarizing(f), make_rotation(theta))
+            for f in (0.45, 0.6, 0.8, 1.0) for theta in (0.0, 0.3, math.pi / 4)]
+    ptms.append(PTM(np.zeros((4, 4))))
+    with caplog.at_level(logging.DEBUG, logger="pauliprop"):
+        exact = classify_ptms(ptms)
+        letters = classify_ptms(ptms, exact=False)
+    assert letters == [rec and dataclasses.replace(rec, robustness=None) for rec in exact]
+    full, cheap = (rec.classify for rec in caplog.records)
+    with_c = sum("C" in rec.category for rec in exact if rec)
+    assert 0 < with_c < full["exact_certs"] + full["lps"] == 12
+    # only a channel whose best bound is at most 1 + LP_TOL is fitted
+    assert cheap["exact_certs"] + cheap["lps"] == with_c
 
 
 def test_uncertified_values_do_not_depend_on_the_batch(caplog):
