@@ -23,13 +23,11 @@ from .operators import (
 from .channels import (
     PTM,
     ChannelApplication,
-    ChoiState,
     NotCompletelyPositiveError,
     adaptive_norms,
     adjoint,
     adjoint_norm,
     channel_norm,
-    choi_from_ptm,
     choi_matrix,
     choi_trace_table,
     compose,

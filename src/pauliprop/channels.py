@@ -208,19 +208,10 @@ def make_unitary_ptm(u: np.ndarray) -> PTM:
 
 # ---------------------------------------------------------------------------
 # Choi states (postselective-channel bijection)
-
-@dataclass(frozen=True)
-class ChoiState:
-    """Normalized Choi state of a channel, with its postselection weight.
-
-    The density matrix lives on H^B (x) H^A with the output copy B on the
-    lower-indexed qubits; the un-normalized Choi state is p_lambda * matrix.
-    """
-
-    k: int
-    matrix: np.ndarray
-    p_lambda: float
-
+#
+# A Choi state lives on H^B (x) H^A with the output copy B on the
+# lower-indexed qubits; the normalized state is choi_matrix over its trace,
+# and the un-normalized one is p_lambda times the normalized one.
 
 _CHOI_PATH = ["einsum_path", (0, 1), (0, 1)]
 
@@ -257,21 +248,12 @@ def postselection_probability(normalized: np.ndarray, k: int) -> float:
     return 1.0 / (dim * top)
 
 
-def choi_from_ptm(ptm: PTM) -> ChoiState:
-    phi = validate_cp(ptm)
-    trace = float(np.trace(phi).real)
-    if trace <= 0:
-        raise NotCompletelyPositiveError("channel annihilates the Bell state; no Choi state")
-    normalized = phi / trace
-    return ChoiState(ptm.k, normalized, postselection_probability(normalized, ptm.k))
-
-
 def choi_trace_table(ptm: PTM) -> np.ndarray:
     """Trace table of the normalized Choi state, read off the PTM: choi_matrix
     puts R_ij s_j / 4^k on sigma_i^B (x) sigma_j^A, with sigma_j^T = s_j sigma_j
     (s_j = -1 for an odd number of Y digits in j) and Tr(phi) = R_00, so entry
-    i + 4^k j is R_ij s_j / R_00. Raises NotCompletelyPositiveError wherever
-    choi_from_ptm does."""
+    i + 4^k j is R_ij s_j / R_00. Raises NotCompletelyPositiveError where
+    validate_cp does, and where R_00 <= 0 leaves no state to normalize."""
     validate_cp(ptm)
     r = ptm.matrix
     if r[0, 0] <= 0:

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from . import magic, qaoa
-from .channels import adjoint_norm, channel_norm, choi_from_ptm, compose, \
-    make_depolarizing, make_rotation
+from .channels import adjoint_norm, channel_norm, choi_matrix, choi_trace_table, \
+    compose, make_depolarizing, make_rotation, postselection_probability
 from .circuit_io import (
     SpecParseError,
     SpecValidationError,
@@ -277,17 +277,14 @@ def _cmd_classify_channel(args) -> int:
 def _cmd_norms(args) -> int:
     app = _load_channel_spec(args)
     ptm = app.ptm
-    choi = choi_from_ptm(ptm)
-    out = {
-        "k": ptm.k,
-        "d_forward": channel_norm(ptm),
-        "d_adjoint": adjoint_norm(ptm),
-        "robustness": None,
-        "p_lambda": choi.p_lambda,
-    }
-    if ptm.k == 1:
-        out["robustness"] = magic.robustness(DenseOperator(choi.matrix))
-    _emit(out, args.output)
+    choi_trace_table(ptm)  # raises where the channel has no Choi state
+    phi = choi_matrix(ptm)
+    # one qubit: the Choi-state robustness classify-channel reports
+    robustness = magic.classify_ptm(ptm).robustness if ptm.k == 1 else None
+    _emit({"k": ptm.k, "d_forward": channel_norm(ptm), "d_adjoint": adjoint_norm(ptm),
+           "robustness": robustness,
+           "p_lambda": postselection_probability(phi / float(np.trace(phi).real), ptm.k)},
+          args.output)
     return 0
 
 
@@ -299,7 +296,8 @@ def _add_common(p, report=True):
                    help="RNG seed in [0, 2**64); results are deterministic per seed, "
                         "whatever the worker count")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker process count (default 1)")
+                   help="worker process count (default 1), at most the CPUs this "
+                        "process may use")
     if report:
         p.add_argument("--output", help="write the JSON report here instead of stdout")
 

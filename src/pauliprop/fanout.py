@@ -9,7 +9,8 @@ caller that reduces them in that order gets bit-identical results for any
 worker count. Underneath is map_blocks, which runs any function of a block
 index that way.
 
-One process pool serves every map_blocks call of a process. It is forked at
+One process pool serves every map_blocks call of a process, and it never
+has more workers than the CPUs this process may use. It is forked at
 the first call that needs workers, so the workers keep this process's module
 state of that moment: caches filled before it are shared, and a cache filled
 or a name patched after it is not seen by the workers. A call that needs a
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -54,17 +56,17 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
 def map_blocks(fn, args: tuple, n_blocks: int, workers: int) -> list:
     """[fn(*args, b) for b in range(n_blocks)], in block order.
 
-    The blocks go out in at most `workers` contiguous chunks to the process's
-    shared pool of min(workers, n_blocks) processes (see the module
-    docstring). With workers == 1 or fewer than two blocks everything runs in
-    this process and no pool is used; otherwise fn and args are pickled, so
-    fn must be a module-level function. Call it from one thread at a time.
+    The blocks go out in contiguous chunks to the process's shared pool of
+    min(workers, n_blocks, usable_cpus()) processes (see the module
+    docstring). When that is one, everything runs in this process and no pool
+    is used; otherwise fn and args are pickled, so fn must be a module-level
+    function. Call it from one thread at a time.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers == 1 or n_blocks < 2:
+    workers = min(workers, n_blocks, usable_cpus())
+    if workers < 2:
         return [fn(*args, b) for b in range(n_blocks)]
-    workers = min(workers, n_blocks)
     pool = _shared_pool(workers)
     try:
         return list(pool.map(partial(fn, *args), range(n_blocks),
@@ -72,6 +74,14 @@ def map_blocks(fn, args: tuple, n_blocks: int, workers: int) -> list:
     except BrokenProcessPool:
         _drop_pool()
         raise
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which caps every pool: forking more
+    workers than that only makes them queue."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def fan_out(fn, args: tuple, n_items: int, block_size: int, seed: int,

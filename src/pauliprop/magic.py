@@ -268,12 +268,6 @@ def robustness_many(ops) -> np.ndarray:
     return _robustness(*_trace_tables(list(ops)), exact=True)
 
 
-def robustness_closed_form_1q(rho: DenseOperator) -> float:
-    """Octahedron geometry: R = max(1, |bx| + |by| + |bz|)."""
-    bloch = rho.trace_table[1:]
-    return max(1.0, float(np.abs(bloch).sum()))
-
-
 def _at_most_one(value: float) -> bool:
     """The one threshold every state category and channel letter uses."""
     return value <= 1.0 + LP_TOL

@@ -35,7 +35,7 @@ import numpy as np
 
 from .channels import ChannelApplication, make_unitary_ptm
 from .exact import run_exact
-from .fanout import SEED_LIMIT, check_seed, fan_out, map_blocks
+from .fanout import check_seed, fan_out, map_blocks
 from .operators import DenseOperator, FactoredState, plus_state
 from .propagation import Circuit, estimate, hoeffding_epsilon
 
@@ -212,9 +212,16 @@ def epsilon_nest(m: int, n_samples: int, delta: float) -> float:
     return m / math.sqrt(n_samples) * math.sqrt(math.log(2 / delta))
 
 
+# the tag of the nested estimator's stream: larger than any list index, so
+# no term index can take it
+NESTED_TAG = 1 << 64
+
+
 def _term_seed(seed: int, term: int) -> int:
-    """Seed of one term's estimate, hashed from the pair (seed, term): no
-    shift of the base seed maps one run's term streams onto another's."""
+    """Seed of one term's estimate, or of the nested estimator for term
+    NESTED_TAG, hashed from the pair (seed, term): no shift of the base seed
+    maps one run's streams onto another's, nor onto a stream keyed by a seed
+    directly, such as the instance draw block_rng(s + 1, 0)."""
     return int(np.random.SeedSequence([seed, term]).generate_state(1, np.uint64)[0])
 
 
@@ -324,7 +331,7 @@ def run_experiment(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
     t0 = perf_counter()
     c_heis, eps_engine = heisenberg_estimate(inst, params, n_samples, delta=delta,
                                              seed=seed, workers=workers)
-    c_vdn = vdn_estimate(inst, params, n_samples, seed=(seed + 1) % SEED_LIMIT,
+    c_vdn = vdn_estimate(inst, params, n_samples, seed=_term_seed(seed, NESTED_TAG),
                          workers=workers)
     eps_h = epsilon_heis(inst.m, n_samples, delta, params.gamma)
     eps_n = epsilon_nest(inst.m, n_samples, delta)

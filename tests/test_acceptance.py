@@ -15,7 +15,7 @@ from pauliprop.channels import (
     adjoint,
     adjoint_norm,
     channel_norm,
-    choi_from_ptm,
+    choi_matrix,
     compose,
     make_adaptive,
     make_clifford,
@@ -31,7 +31,7 @@ from pauliprop.fanout import block_rng
 from pauliprop.magic import (
     CENSUS_BLOCK,
     classification_census,
-    classify_ptm,
+    classify_ptms,
     csh_boundary_f,
     enumerate_stabilizer_states,
     robustness,
@@ -363,9 +363,9 @@ def test_acceptance_7_channel_census():
     mirror_counts = {cat: 0 for cat in _MIRROR}
     for start in range(0, n_samples, CENSUS_BLOCK):
         rng = block_rng(seed, start // CENSUS_BLOCK)
-        for _ in range(min(CENSUS_BLOCK, n_samples - start)):
-            rho = sample_hilbert_schmidt(2, rng)
-            rec = classify_ptm(adjoint(ptm_from_choi(rho.matrix)))
+        rhos = [sample_hilbert_schmidt(2, rng)
+                for _ in range(min(CENSUS_BLOCK, n_samples - start))]
+        for rec in classify_ptms([adjoint(ptm_from_choi(rho.matrix)) for rho in rhos]):
             mirror_counts[rec.category] += 1
     general = results["general"].counts
     mirror_ok = all(mirror_counts[_MIRROR[cat]] == general[cat] for cat in _MIRROR)
@@ -432,9 +432,10 @@ def test_acceptance_9_choi_postselection():
         isometry, _ = np.linalg.qr(g)
         kraus = [isometry[2 * i:2 * i + 2, :] for i in range(4)]
         ptm = PTM(kraus_to_ptm(kraus, 1))
-        choi = choi_from_ptm(ptm)
-        weight_dev = max(weight_dev, abs(choi.p_lambda - 1.0))
-        back = ptm_from_choi(choi.matrix)
+        phi = choi_matrix(ptm)
+        normalized = phi / np.trace(phi).real
+        weight_dev = max(weight_dev, abs(postselection_probability(normalized, 1) - 1.0))
+        back = ptm_from_choi(normalized)
         round_trip_dev = max(round_trip_dev,
                              float(np.abs(back.matrix - ptm.matrix).max()))
 

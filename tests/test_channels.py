@@ -14,7 +14,6 @@ from pauliprop.channels import (
     adjoint,
     adjoint_norm,
     channel_norm,
-    choi_from_ptm,
     choi_matrix,
     choi_trace_table,
     compose,
@@ -182,11 +181,21 @@ def test_reset_rejects_non_states():
         make_reset(DenseOperator(np.diag([2.0, 0.0])))
 
 
+def _normalized_choi(ptm):
+    """choi_matrix over its trace, once validate_cp has checked it; a zero
+    trace leaves no state to normalize."""
+    phi = validate_cp(ptm)
+    trace = float(np.trace(phi).real)
+    if trace <= 0:
+        raise NotCompletelyPositiveError("channel annihilates the Bell state; no Choi state")
+    return phi / trace
+
+
 def test_reset_choi_is_target_times_mixed():
     rho = h_state()
-    choi = choi_from_ptm(make_reset(rho))
+    choi = _normalized_choi(make_reset(rho))
     # output copy on the low qubits, maximally mixed input marginal above it
-    np.testing.assert_allclose(choi.matrix, np.kron(np.eye(2) / 2, rho.matrix),
+    np.testing.assert_allclose(choi, np.kron(np.eye(2) / 2, rho.matrix),
                                atol=1e-12)
 
 
@@ -262,7 +271,7 @@ def test_choi_round_trip_on_library_channels():
     cases = [make_rotation(0.4), make_depolarizing(0.3), make_measure_z(),
              make_clifford("h"), make_reset(t_state())]
     for ptm in cases:
-        back = ptm_from_choi(choi_from_ptm(ptm).matrix)
+        back = ptm_from_choi(_normalized_choi(ptm))
         np.testing.assert_allclose(back.matrix, ptm.matrix, atol=1e-12)
 
 
@@ -275,7 +284,7 @@ def test_choi_trace_table_matches_the_choi_state():
         for _ in range(50):
             ptm = project_ptm(ptm_from_choi(sample_hilbert_schmidt(2, rng).matrix), mode)
             try:
-                want = DenseOperator(choi_from_ptm(ptm).matrix).trace_table
+                want = DenseOperator(_normalized_choi(ptm)).trace_table
             except NotCompletelyPositiveError:
                 with pytest.raises(NotCompletelyPositiveError):
                     choi_trace_table(ptm)
@@ -291,10 +300,10 @@ def test_choi_trace_table_matches_the_choi_state():
     np.testing.assert_allclose(choi_trace_table(ptm), want, rtol=0, atol=1e-14)
 
 
-def test_choi_trace_table_rejects_what_choi_from_ptm_rejects():
+def test_choi_trace_table_rejects_channels_with_no_choi_state():
     for ptm in (PTM(np.diag([1.0, 1.0, -1.0, 1.0])), PTM(np.zeros((4, 4)))):
         with pytest.raises(NotCompletelyPositiveError) as want:
-            choi_from_ptm(ptm)
+            _normalized_choi(ptm)
         with pytest.raises(NotCompletelyPositiveError) as got:
             choi_trace_table(ptm)
         assert ("annihilates" in str(got.value)) == ("annihilates" in str(want.value))
@@ -305,7 +314,7 @@ def test_choi_trace_table_rejects_what_choi_from_ptm_rejects():
 def test_postselection_probability_examples():
     # trace preserving channels keep p = 1
     for ptm in (make_rotation(0.9), make_depolarizing(0.2), make_clifford("s")):
-        assert abs(choi_from_ptm(ptm).p_lambda - 1.0) < 1e-12
+        assert abs(postselection_probability(_normalized_choi(ptm), 1) - 1.0) < 1e-12
     # |00><00| has a pure input marginal, so p = 1/2 exactly
     phi = np.zeros((4, 4), dtype=complex)
     phi[0, 0] = 1.0
@@ -317,7 +326,7 @@ def test_transpose_map_is_not_cp():
     with pytest.raises(NotCompletelyPositiveError):
         validate_cp(transpose)
     with pytest.raises(NotCompletelyPositiveError):
-        choi_from_ptm(transpose)
+        _normalized_choi(transpose)
 
 
 def test_choi_matrix_requires_square_channel():

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from pauliprop import cli
-from pauliprop.magic import CHANNEL_CATEGORIES, STATE_CATEGORIES
+from pauliprop.channels import choi_matrix, postselection_probability, ptm_from_choi
+from pauliprop.magic import CHANNEL_CATEGORIES, STATE_CATEGORIES, sample_hilbert_schmidt
 
 
 def circuit_obj():
@@ -498,6 +499,31 @@ def test_norms_report(capsys):
     assert rep["k"] == 2
     assert rep["robustness"] is None
     assert rep["d_forward"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_norms_and_classify_channel_report_one_robustness(capsys):
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        ptm = ptm_from_choi(sample_hilbert_schmidt(2, rng).matrix)
+        spec = json.dumps({"ptm": ptm.matrix.tolist(), "qubits": [0]})
+        code, norms = run_json(capsys, ["norms", "--spec", spec])
+        assert code == 0
+        code, classified = run_json(capsys, ["classify-channel", "--spec", spec])
+        assert code == 0 and norms["robustness"] == classified["robustness"]
+        # p_lambda of choi_matrix over its trace
+        phi = choi_matrix(ptm)
+        assert norms["p_lambda"] == postselection_probability(phi / np.trace(phi).real, 1)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0.0] * 4] * 4, "channel annihilates the Bell state; no Choi state"),
+    (np.diag([1.0, 1.0, -1.0, 1.0]).tolist(),
+     "channel.ptm: Choi eigenvalue -5.00e-01 below -1e-08"),
+])
+def test_norms_refuses_a_channel_with_no_choi_state(capsys, rows, message):
+    code = cli.main(["norms", "--spec", json.dumps({"ptm": rows, "qubits": [0]})])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == message
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

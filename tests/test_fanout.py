@@ -164,6 +164,16 @@ def test_a_pool_is_never_wider_than_its_blocks(pool_starts):
     assert pool_starts() == [3]
 
 
+def test_a_pool_is_never_wider_than_the_usable_cpus(pool_starts, monkeypatch):
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+    assert len(set(map_blocks(_pid, (), 3, 50))) <= 2
+    assert pool_starts() == [2]
+    # one usable CPU leaves one worker: the blocks run in this process
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+    assert map_blocks(_pid, (), 3, 50) == [os.getpid()] * 3
+    assert pool_starts() == [2]
+
+
 def test_a_dead_worker_fails_only_its_call(pool_starts):
     with pytest.raises(BrokenProcessPool):
         map_blocks(_exit_in_block_one, (), 4, 2)
@@ -177,8 +187,12 @@ def _draws_of_block(b):
 
 def test_no_worker_outlives_the_cli(tmp_path):
     src = str(Path(fanout.__file__).resolve().parents[1])
+    # the CLI in a fresh interpreter, told of eight usable CPUs so that it
+    # starts its two workers on any host
+    run_cli = ("import sys; from pauliprop import cli, fanout; "
+               "fanout.usable_cpus = lambda: 8; sys.exit(cli.main(sys.argv[1:]))")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "pauliprop.cli", "census", "--samples", "40", "--seed", "1",
+        [sys.executable, "-c", run_cli, "census", "--samples", "40", "--seed", "1",
          "--workers", "2", "--output", str(tmp_path / "census.json")],
         env={**os.environ, "PYTHONPATH": src}, start_new_session=True)
     assert proc.wait(timeout=120) == 0

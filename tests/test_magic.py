@@ -43,7 +43,6 @@ from pauliprop.magic import (
     enumerate_stabilizer_states,
     project_ptm,
     robustness,
-    robustness_closed_form_1q,
     robustness_many,
     sample_hilbert_schmidt,
     state_census,
@@ -58,6 +57,12 @@ from pauliprop.operators import (
     t_state,
     zero_state,
 )
+
+
+def robustness_closed_form_1q(rho: DenseOperator) -> float:
+    """Octahedron geometry: R = max(1, |bx| + |by| + |bz|)."""
+    bloch = rho.trace_table[1:]
+    return max(1.0, float(np.abs(bloch).sum()))
 
 
 def test_stabilizer_state_counts():

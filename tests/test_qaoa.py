@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from pauliprop import propagation, qaoa
+from pauliprop import fanout, propagation, qaoa
 
 from pauliprop.propagation import cost_report, hoeffding_epsilon
 from pauliprop.qaoa import (
@@ -211,6 +211,27 @@ def test_term_seeds_do_not_repeat_across_shifted_base_seeds(monkeypatch):
     assert not first & second
     with pytest.raises(ValueError, match="seed"):
         heisenberg_estimate(inst, params, 10, seed=-1)
+
+    # every (seed, block) stream key of one run_experiment, nested estimator
+    # included: that once drew from block_rng(s + 1, b), batch b of a run at
+    # seed s + 1 and, for b = 0, the instance generator of the qaoa CLI and
+    # fig6 at seed s + 1
+    keys = []
+    real_rng = fanout.block_rng
+
+    def block_rng(seed, block):
+        keys.append((seed, block))
+        return real_rng(seed, block)
+
+    monkeypatch.setattr(fanout, "block_rng", block_rng)
+    runs = []
+    for seed in (5, 6):
+        keys.clear()
+        run_experiment(inst, params, 10, seed=seed)
+        runs.append(list(keys))
+    for run in runs:  # one batch per term, then one nested batch
+        assert len(run) == len(set(run)) == inst.m + 1
+    assert not set(runs[0]) & (set(runs[1]) | {(6, 0)})
 
 
 def test_rotation_ptms_are_built_once_per_angle(monkeypatch):
