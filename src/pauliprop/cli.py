@@ -277,10 +277,14 @@ def _cmd_classify_channel(args) -> int:
 def _cmd_norms(args) -> int:
     app = _load_channel_spec(args)
     ptm = app.ptm
-    choi_trace_table(ptm)  # raises where the channel has no Choi state
+    # both raise where the channel has no Choi state; one qubit gets the
+    # Choi-state robustness classify-channel reports
+    if ptm.k == 1:
+        robustness = magic.classify_ptm(ptm).robustness
+    else:
+        choi_trace_table(ptm)
+        robustness = None
     phi = choi_matrix(ptm)
-    # one qubit: the Choi-state robustness classify-channel reports
-    robustness = magic.classify_ptm(ptm).robustness if ptm.k == 1 else None
     _emit({"k": ptm.k, "d_forward": channel_norm(ptm), "d_adjoint": adjoint_norm(ptm),
            "robustness": robustness,
            "p_lambda": postselection_probability(phi / float(np.trace(phi).real), ptm.k)},
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=math.pi / 4)
     p.add_argument("--samples", type=int, required=True, help="samples per term")
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--out", help="also append a CSV row here")
+    p.add_argument("--out", help="also write the run as a one-row CSV here")
     _add_common(p)
     p.set_defaults(fn=_cmd_qaoa)
 

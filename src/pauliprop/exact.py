@@ -4,7 +4,7 @@
 (4,)*n tensor with axis q for qubit q, through each PTM as t -> R t on the
 channel's digit axes, and returns Tr(E rho) = 2^-n <t_E, t>. It shares the
 PTMs and the factors' trace tables with the propagation engine, but none of
-its compiled tables, code order, lanes or sampling, so it can act as their
+its compiled tables, lanes or sampling, so it can act as their
 oracle. Register cap n <= 8 (4^8 traces). The dense helpers work on 2^n x 2^n
 matrices; tests use them to check the oracle against a Kraus simulation.
 """

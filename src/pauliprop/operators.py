@@ -1,12 +1,13 @@
 """Dense Hermitian operators on small qubit sets, and their Pauli data.
 
-Any Hermitian A on k <= 3 qubits decomposes as A = sum_i coeffs[i] * sigma_i
-with coeffs[i] = Tr(sigma_i A)/2^k. Its stabilizer norm
+Any Hermitian A on k <= 3 qubits decomposes as A = sum_i a_i * sigma_i
+with a_i = Tr(sigma_i A)/2^k; DenseOperator caches the trace table
+Tr(sigma_i A). Its stabilizer norm
 
     D(A) = 2^{-k} * sum_sigma |Tr(sigma A)|
 
-is the L1 norm of that coefficient vector. The estimator draws sigma_i with
-probability |coeffs[i]| / D(A) and weight sign(coeffs[i]) * D(A), so that
+is the L1 norm of the coefficient vector (a_i). The estimator draws sigma_i
+with probability |a_i| / D(A) and weight sign(a_i) * D(A), so that
 E[c * sigma] = A; the propagation engine compiles that draw into its own
 step tables, and this module holds no sampling state.
 
@@ -63,8 +64,7 @@ class DenseOperator:
     """Hermitian matrix on k <= 3 qubits with cached Pauli data.
 
     Treated as immutable after construction; the matrix is marked read-only
-    so the cached coefficient vector, trace table and state check stay
-    valid.
+    so the cached trace table and state check stay valid.
     """
 
     def __init__(self, matrix):
@@ -91,21 +91,15 @@ class DenseOperator:
         return cls(matrix_from_coeffs(coeffs, k))
 
     @cached_property
-    def coeffs(self) -> np.ndarray:
-        c = coeffs_from_matrix(self.matrix, self.k)
-        c.setflags(write=False)
-        return c
+    def trace_table(self) -> np.ndarray:
+        """Unnormalized traces Tr(sigma_i A), indexed by local Pauli."""
+        t = coeffs_from_matrix(self.matrix, self.k) * 2**self.k
+        t.setflags(write=False)
+        return t
 
     @cached_property
     def stabilizer_norm(self) -> float:
-        return float(np.abs(self.coeffs).sum())
-
-    @cached_property
-    def trace_table(self) -> np.ndarray:
-        """Unnormalized traces Tr(sigma_i A) = coeffs * 2^k, indexed by local Pauli."""
-        t = self.coeffs * 2**self.k
-        t.setflags(write=False)
-        return t
+        return float(np.abs(self.trace_table).sum() / 2**self.k)
 
     @cached_property
     def is_state(self) -> bool:
@@ -155,16 +149,6 @@ class FactoredState:
         for qubits, op in self.factors:
             if not op.is_state:
                 raise ValueError(f"factor on qubits {qubits} is not a valid state")
-
-    def dense(self) -> np.ndarray:
-        """Full 2^n x 2^n matrix, for checks on small registers."""
-        from .exact import embed_operator
-        # earlier factors on the low bits, as qubits[pos] is bit pos of embed_operator
-        acc, qubits = np.ones((1, 1), dtype=complex), ()
-        for qs, op in self.factors:
-            acc = np.kron(op.matrix, acc)
-            qubits += qs
-        return embed_operator(acc, qubits, self.n)
 
 
 def stabilizer_norm_factored(s: FactoredState) -> float:

@@ -15,19 +15,17 @@ kills the trajectory: its value is exactly 0.
 
 The walk is vectorized: a batch of trajectories advances together as arrays
 of uint64 words plus a float64 coefficient array, which is what makes
-desk-scale sample counts feasible in Python. A lane's Pauli string is stored
-interleaved, in the symplectic (x, z) idiom of CHP (Aaronson & Gottesman,
-quant-ph/0406196) and Stim (Gidney, arXiv:2103.02202): qubit q's x bit is bit
-2 (q mod 32) of word q // 32 and its z bit the bit above. A register of up to
-32 qubits takes one word per lane; the engine register cap, n <= 64, two.
+desk-scale sample counts feasible in Python. A lane's Pauli string holds one
+PTM digit (I, X, Y, Z = 0..3) per qubit, 2 bits each: qubit q's digit is bits
+2 (q mod 32) and 2 (q mod 32) + 1 of word q // 32. A register of up to 32
+qubits takes one word per lane; the engine register cap, n <= 64, two.
 
-Compiled steps are tables indexed by the engine's own bit code. A step on
-qubits (q_0, ..., q_{k-1}) reads the local code c of each lane, whose digit
-pos is x_pos | z_pos << 1 (I, X, Z, Y = 0..3: the PTM digit with Y and Z
-swapped), with one shift and mask per run of adjacent qubits. It stores flat
-tables mult and, per word it touches, delta: the signed multiplier and the
-bits the step flips. A deterministic step (every column has at most one
-output) is then
+Compiled steps are tables indexed by PTM index. A step on qubits
+(q_0, ..., q_{k-1}) reads the local code c of each lane, the PTM index whose
+base-4 digit pos is qubit q_pos's digit, with one shift and mask per run of
+adjacent qubits. It stores flat tables mult and, per word it touches, delta: the
+signed multiplier and the bits the step flips. A deterministic step (every
+column has at most one output) is then
 
     coeff *= mult[c];  word ^= delta[c]
 
@@ -37,8 +35,7 @@ The start operator is drawn by the same steps: each factor A = sum_i a_i sigma_i
 is a step with one column, (a_i), read at the identity code that every lane
 starts from. The finish contraction is a run of the same steps that flip
 nothing: a factor A is a deterministic step whose mult is its trace table
-Tr(sigma A) in code order, so a batch walks one list of steps from start to
-finish.
+Tr(sigma A), so a batch walks one list of steps from start to finish.
 
 Compiled steps are cached. A channel's tables are tabulated once per PTM
 object and direction (R or R^T), and a start factor's once per DenseOperator,
@@ -174,32 +171,20 @@ def plan_samples(circuit: Circuit, direction: str, epsilon_target: float, delta:
 
 
 # ---------------------------------------------------------------------------
-# compiled form of a circuit: flat tables indexed by the engine's own bit code
+# compiled form of a circuit: flat tables indexed by local PTM index
 #
 # A step on qubits (q_0, ..., q_{k-1}) reads the local code c of a lane, whose
-# bits 2 pos and 2 pos + 1 are the x and z bits of qubit q_pos. A PTM index
-# instead has one base-4 digit per qubit (I, X, Y, Z = 0..3, first qubit least
-# significant); the tables below are permuted into code order once, at
-# compile time.
+# bits 2 pos and 2 pos + 1 hold qubit q_pos's digit (I, X, Y, Z = 0..3, first
+# qubit least significant). That is the PTM's own index, so every table keeps
+# the PTM's column order.
 
 _ENTRY_TOL = 1e-12
 _WORD_QUBITS = 32
 
 
 def _word_bit(q: int) -> tuple:
-    """(word, bit) of qubit q's x bit; its z bit is bit + 1."""
+    """(word, bit) of the low bit of qubit q's digit."""
     return divmod(2 * q, 2 * _WORD_QUBITS)
-
-
-@lru_cache(maxsize=None)
-def _code_order(k: int) -> np.ndarray:
-    """order[c] = the PTM index whose local code is c: each digit with Y and Z
-    swapped. The swap is its own inverse, so order[i] is also the code of PTM
-    index i. Cached per k."""
-    index = np.arange(4**k)
-    order = index ^ ((index >> 1) & ((4**k - 1) // 3))
-    order.setflags(write=False)
-    return order
 
 
 def _spread(codes: np.ndarray, qubits) -> tuple:
@@ -291,7 +276,7 @@ def _compile_start(state: FactoredState) -> tuple:
     const_coeff = 1.0
     random_factors = []
     for qubits, op in state.factors:
-        step = _cached_step(op, "start", op.coeffs[:, None], qubits)
+        step = _cached_step(op, "start", op.trace_table[:, None] / 2**op.k, qubits)
         if not step.mult.any():
             raise ValueError(f"zero operator on qubits {qubits} (D = 0)")
         if step.m == 1:
@@ -315,17 +300,11 @@ def _compile_steps(circuit: Circuit, direction: str) -> list:
 
 
 def _tabulate(r: np.ndarray) -> tuple:
-    """(m, cum, mult, local code flips) of a PTM, in code order.
+    """(m, cum, mult, local code flips) of a PTM.
 
     r may hold only the first columns of a PTM (a start factor has one)."""
     size = r.shape[1]
-    k = (r.shape[0].bit_length() - 1) // 2
-    # columns in code order; each column keeps its outputs in PTM index
-    # order, so a draw u picks the same output as in PTM order. The norms are
-    # summed before the permutation: numpy's summation order follows layout.
-    order = _code_order(k)
-    colnorm = np.abs(r).sum(axis=0)[order[:size]]
-    r = r[:, order[:size]]
+    colnorm = np.abs(r).sum(axis=0)
     supports = [np.flatnonzero(np.abs(r[:, c]) > _ENTRY_TOL) for c in range(size)]
     m = max(1, max(len(s) for s in supports))
     cum = np.ones((m - 1, size))
@@ -343,7 +322,7 @@ def _tabulate(r: np.ndarray) -> tuple:
             mult[c, len(s):] = mult[c, len(s) - 1]
         out[c, : len(s)] = s
         out[c, len(s):] = s[-1]
-    flips = (order[out] ^ np.arange(size)[:, None]).ravel()
+    flips = (out ^ np.arange(size)[:, None]).ravel()
     mult = mult.ravel()
     for a in (cum, mult, flips):
         a.setflags(write=False)
@@ -357,22 +336,21 @@ def _place(table: tuple, qubits) -> _Step:
 
 
 def _finish_step(qubits, mult: np.ndarray) -> _Step:
-    """The step that multiplies by a finish table, in code order."""
+    """The step that multiplies by a finish table."""
     return _Step(tuple(qubits), _gather_plan(qubits), 1, np.ones((0, len(mult))), mult,
                  (), not mult.all())
 
 
 @lru_cache(maxsize=_FINISH_CACHE_SIZE)
 def _fused_finish(tables: tuple) -> np.ndarray:
-    """Code-order table of a run of 1-qubit finish factors, from the bytes of
+    """Trace table of a run of 1-qubit finish factors, from the bytes of
     their trace tables in qubit order. Keyed on content, because sweeps build
     equal factors afresh (|+> on every qubit of every QAOA term)."""
     table = np.frombuffer(tables[0])
     for t in tables[1:]:
         table = np.kron(np.frombuffer(t), table)  # the first qubit is the low digit
-    mult = table[_code_order(len(tables))]
-    mult.setflags(write=False)
-    return mult
+    table.setflags(write=False)
+    return table
 
 
 def _compile_finish(state: FactoredState) -> list:
@@ -383,7 +361,7 @@ def _compile_finish(state: FactoredState) -> list:
         if len(qubits) == 1:
             singles[qubits[0]] = op.trace_table.tobytes()
         else:
-            others.append(_finish_step(qubits, op.trace_table[_code_order(len(qubits))]))
+            others.append(_finish_step(qubits, op.trace_table))
     # fuse runs of consecutive qubits into one table, so a run of up to
     # _FINISH_BLOCK_QUBITS qubits in one word costs one shift and mask
     runs = []

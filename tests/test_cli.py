@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pauliprop import cli
+from pauliprop import channels, cli
 from pauliprop.channels import choi_matrix, postselection_probability, ptm_from_choi
 from pauliprop.magic import CHANNEL_CATEGORIES, STATE_CATEGORIES, sample_hilbert_schmidt
 
@@ -524,6 +524,33 @@ def test_norms_refuses_a_channel_with_no_choi_state(capsys, rows, message):
     code = cli.main(["norms", "--spec", json.dumps({"ptm": rows, "qubits": [0]})])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"]["message"] == message
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_norms_checks_the_parsed_choi_matrix_once(capsys, monkeypatch, k):
+    # parsing checks the Choi matrix once; norms itself checks it once more
+    depolarizing = np.diag([1.0, 0.5, 0.5, 0.5])
+    rows = depolarizing if k == 1 else np.kron(depolarizing, depolarizing)
+    argv = ["norms", "--spec", json.dumps({"ptm": rows.tolist(), "qubits": list(range(k))})]
+    assert cli.main(argv) == 0  # builds the one-time tables
+    capsys.readouterr()
+    calls = []
+    check_psd, load = channels._check_psd, cli._load_channel_spec
+
+    def counted_check(*a):
+        calls.append(a)
+        check_psd(*a)
+
+    def load_then_count(args):
+        app = load(args)
+        calls.clear()
+        return app
+
+    monkeypatch.setattr(channels, "_check_psd", counted_check)
+    monkeypatch.setattr(cli, "_load_channel_spec", load_then_count)
+    code, rep = run_json(capsys, argv)
+    assert code == 0 and rep["k"] == k
+    assert len(calls) == 1
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pauliprop import operators as ops
+from pauliprop.exact import embed_operator
 from pauliprop.operators import (
     DenseOperator,
     FactoredState,
@@ -108,13 +109,14 @@ def test_sampler_distribution_and_mean():
     for k in (1, 2):
         op = random_state(k, rng)
         state = FactoredState(k, ((tuple(range(k)), op),))
-        probs = np.abs(op.coeffs) / op.stabilizer_norm
+        coeffs = op.trace_table / 2**k
+        probs = np.abs(coeffs) / op.stabilizer_norm
         for i in range(4**k):
             obs = FactoredState(k, ((tuple(range(k)), DenseOperator(pauli_matrix(i, k))),))
             rep = estimate(Circuit(k, state, (), obs), "schrodinger", n, seed=i)
             hits = abs(rep.mean) / (2**k * op.stabilizer_norm)
             assert abs(hits - probs[i]) < 4 / math.sqrt(n), (k, i)
-            assert abs(rep.mean / 2**k - op.coeffs[i]) < 4 / math.sqrt(n), (k, i)
+            assert abs(rep.mean / 2**k - coeffs[i]) < 4 / math.sqrt(n), (k, i)
 
 
 def test_sample_zero_operator_raises():
@@ -143,27 +145,6 @@ def test_of_qubit_states_order():
     assert [f[0] for f in s.factors] == [(0,), (1,)]
 
 
-def test_dense_matches_kron_for_ordered_factors():
-    a = ops.zero_state()
-    b = ops.plus_state()
-    s = FactoredState.of_qubit_states([a, b])
-    # qubit 0 is the low bit, so it sits on the right kron factor
-    np.testing.assert_allclose(s.dense(), np.kron(b.matrix, a.matrix), atol=1e-15)
-
-
-def test_dense_with_interleaved_factor():
-    rng = np.random.default_rng(3)
-    two = random_state(2, rng)
-    one = random_state(1, rng)
-    s = FactoredState(3, (((0, 2), two), ((1,), one)))
-    # X on qubit 0, Z on qubit 1, Y on qubit 2: the (0, 2) factor sees X then Y
-    got = two.trace_table[1 + 4 * 2] * one.trace_table[3]
-    from pauliprop.operators import pauli_basis
-
-    want = np.trace(pauli_basis(3)[1 + 4 * 3 + 16 * 2] @ s.dense()).real
-    assert abs(got - want) < 1e-10
-
-
 def test_validate_state_rejects_observables():
     obs = DenseOperator(pauli_matrix(3, 1))  # Z is Hermitian but not a state
     s = FactoredState.of_qubit_states([obs])
@@ -177,7 +158,7 @@ def test_norm_multiplicativity_factored():
         a = DenseOperator(random_hermitian(1, rng))
         b = DenseOperator(random_hermitian(2, rng))
         s = FactoredState(3, (((1,), a), ((0, 2), b)))
-        whole = DenseOperator(s.dense())
+        whole = DenseOperator(embed_operator(np.kron(b.matrix, a.matrix), (1, 0, 2), 3))
         assert abs(stabilizer_norm_factored(s) - whole.stabilizer_norm) < 1e-9
 
 

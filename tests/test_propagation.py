@@ -170,20 +170,20 @@ def test_singleton_start_factors_fold_into_constants():
                                "heisenberg")
     assert compiled.start == []
     assert compiled.const_coeff == 1.0
-    # qubit q's x bit is bit 2q of the word and its z bit the next one up
-    assert compiled.const == (0b1010,)
+    # qubit q's PTM digit (I, X, Y, Z = 0..3) is bits 2q and 2q + 1 of the word
+    assert compiled.const == (0b1111,)
     # -Z (x) 2X: the folded coefficient keeps the sign, times D = 1 * 2
     signed = FactoredState(2, [((0,), DenseOperator(-pauli_matrix(3, 1))),
                                ((1,), DenseOperator(2 * pauli_matrix(1, 1)))])
     compiled = compile_circuit(bell_circuit(signed), "heisenberg")
     assert (compiled.start, compiled.const_coeff) == ([], -2.0)
-    assert compiled.const == (0b0110,)
+    assert compiled.const == (0b0111,)
     # qubits 32..63 fill a second word: Y on 31 and 63 set the sign bits
     word = pauli_factor(64, {31: 2, 32: 1, 33: 3, 63: 2})
     compiled = compile_circuit(Circuit(64, FactoredState.of_qubit_states([zero_state()] * 64),
                                        [], word), "heisenberg")
     assert compiled.start == []
-    assert compiled.const == (0b11 << 62, 0b11 << 62 | 0b1000 | 0b1)
+    assert compiled.const == (0b10 << 62, 0b10 << 62 | 0b1100 | 0b1)
 
 
 def random_mixed_circuit(n, depth, rng):
@@ -537,25 +537,17 @@ def test_upper_half_relabelling_gives_equal_results(direction):
         assert low.sample_std > 0.0
 
 
-# a lane's Pauli string, as this test reads it: qubit q's x bit is bit
-# 2 (q mod 32) of word q // 32 and its z bit the bit above; a step's local code
-# holds qubit pos's x bit at bit 2 pos and its z bit at bit 2 pos + 1.
-# Local digit x | z << 1 -> PTM digit: (0, 0) I, (1, 0) X, (0, 1) Z, (1, 1) Y.
-_PTM_DIGIT = np.array([0, 1, 3, 2])
+# a lane's Pauli string, as this test reads it: qubit q's PTM digit (I, X, Y,
+# Z = 0..3) is bits 2 (q mod 32) and 2 (q mod 32) + 1 of word q // 32; a step's
+# local code is the PTM index with qubit pos's digit at bits 2 pos and 2 pos + 1.
 
 
 def _word_shift(q):
     return q // 32, 2 * (q % 32)
 
 
-def _pauli_index(code, k):
-    """PTM index (base-4 digits I, X, Y, Z) of local codes."""
-    code = np.asarray(code)
-    return sum(_PTM_DIGIT[(code >> (2 * pos)) & 3] << (2 * pos) for pos in range(k))
-
-
 def _check_gather(step):
-    """The step's code gather reads each of its qubits' (x, z) bits into the
+    """The step's code gather reads each of its qubits' two digit bits into the
     qubit's local digit, on random lane words (sign bits included)."""
     words = np.random.default_rng(0).bit_generator.random_raw((2, 256))
     code = propagation._gather_code(words.view(np.int64), step.gather,
@@ -598,7 +590,7 @@ def _decode_step(step):
             lower = 0.0 if slot == 0 else step.cum[slot - 1, c]
             e = c * m + slot
             out = c ^ _flipped_code(step, e)
-            dense[_pauli_index(out, k), _pauli_index(c, k)] += (upper - lower) * step.mult[e]
+            dense[out, c] += (upper - lower) * step.mult[e]
     return dense
 
 
@@ -613,8 +605,8 @@ def _library_channels():
 
 @pytest.mark.parametrize("direction", ["schrodinger", "heisenberg"])
 def test_compiled_steps_decode_to_their_ptm(direction):
-    # in the lower word, in the upper word (qubit 63's z bit is its sign
-    # bit), and across the two; runs of adjacent qubits share one gather term
+    # in the lower word, in the upper word (qubit 63's high digit bit is the
+    # sign bit), and across the two; runs of adjacent qubits share one gather term
     placements = [{1: (5,), 2: (6, 1), 3: (7, 2, 4)},
                   {1: (63,), 2: (40, 41), 3: (61, 62, 63)},
                   {1: (32,), 2: (31, 32), 3: (33, 30, 32)}]
@@ -638,7 +630,7 @@ def test_compiled_steps_decode_to_their_ptm(direction):
     assert len(compiled.start) == len(factors)
     for step, (qubits, op) in zip(compiled.start, factors):
         assert step.qubits == qubits
-        np.testing.assert_allclose(_decode_step(step), op.coeffs[:, None],
+        np.testing.assert_allclose(_decode_step(step), op.trace_table[:, None] / 2**op.k,
                                    rtol=0, atol=1e-15)
 
 
@@ -727,9 +719,7 @@ def _finish_table(step):
     assert step.m == 1 and step.cum.shape == (0, 4**k) and step.flips == ()
     assert step.kills == (not step.mult.all())
     _check_gather(step)
-    table = np.empty(4**k)
-    table[_pauli_index(np.arange(4**k), k)] = step.mult
-    return table
+    return step.mult
 
 
 @pytest.mark.parametrize("direction", ["schrodinger", "heisenberg"])
