@@ -1,13 +1,27 @@
 """Seeded fan-out of independent draws over worker processes.
 
-fan_out cuts n_items into fixed-size blocks. Block b draws from a
-counter-based Philox generator keyed by the 128-bit value (seed, b) (Salmon
-et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so its stream
-depends on nothing but the seed and its own index. Each worker runs one
-contiguous range of blocks and the results come back in block order, so a
-caller that reduces them in that order gets bit-identical results for any
-worker count. Underneath is map_blocks, which runs any function of a block
-index that way.
+Every random stream of the package is block_rng(seed, *path): PCG64 seeded
+by NumPy's SeedSequence from the key (seed, *path). Each element is a word in
+[0, 2**64), fed in as two 32-bit words, so the input has a fixed width, and a
+key of at least 2 elements fills the 128-bit pool without padding.
+SeedSequence hashes the whole input: two distinct keys get the same state
+only by a hash collision, about 2**-128 per pair, and its mixing is built so
+that nearby keys (seed and seed + 1, block b and b + 1) give uncorrelated
+streams. A counter-based generator keyed (seed, b) (Salmon et al., SC'11)
+gives the same for two words by construction, each key being its own
+bijection of the counter; the hash takes a key of any length, so a stream is
+named by its whole path, such as (seed, t, b) for block b of term t of a
+QAOA run. A plain int list would not do: SeedSequence splits it into as few
+32-bit words as each value needs and zero-pads a short input, so
+(2**32 + 7, 0) would draw the stream of (7, 1), and (5, 0, 0) that of (5, 0).
+
+fan_out cuts n_items into fixed-size blocks; block b draws from
+block_rng(*prefix, b), where the prefix is the caller's seed (an int, or a
+tuple of ints), so its stream depends on nothing but the prefix and its own
+index. Each worker runs one contiguous range of blocks and the results come
+back in block order, so a caller that reduces them in that order gets
+bit-identical results for any worker count. Underneath is map_blocks, which
+runs any function of a block index that way.
 
 One process pool serves every map_blocks call of a process, and it never
 has more workers than the CPUs this process may use. It is forked at
@@ -39,18 +53,24 @@ _log = logging.getLogger("pauliprop")
 _pool = None  # (size, ProcessPoolExecutor) shared by every map_blocks call
 
 
-def check_seed(seed: int) -> int:
-    """Return seed if it fits one 64-bit key word, else raise ValueError."""
-    if not 0 <= seed < SEED_LIMIT:
+def check_seed(seed: int | tuple) -> tuple:
+    """The key prefix of seed, an int or a tuple of ints, as a tuple; raise
+    ValueError unless every element fits one 64-bit key word."""
+    prefix = seed if isinstance(seed, tuple) else (seed,)
+    if not all(0 <= word < SEED_LIMIT for word in prefix):
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
+    return prefix
 
 
-def block_rng(seed: int, block: int) -> np.random.Generator:
-    """The generator of one block: Philox keyed by (seed, block)."""
-    # a list key would be cast through float64, merging nearby large seeds
-    key = np.array([check_seed(seed), block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def block_rng(seed: int, *path: int) -> np.random.Generator:
+    """The generator of the stream keyed (seed, *path), at least 2 elements:
+    PCG64 seeded by SeedSequence from the key's fixed-width words."""
+    key = check_seed((seed, *path))
+    if len(key) < 2:
+        raise ValueError("a stream key needs at least 2 elements")
+    # little-endian 32-bit halves: a uint64 array would be split per value
+    words = np.array(key, dtype="<u8").view("<u4")
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 def map_blocks(fn, args: tuple, n_blocks: int, workers: int) -> list:
@@ -84,24 +104,25 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def fan_out(fn, args: tuple, n_items: int, block_size: int, seed: int,
+def fan_out(fn, args: tuple, n_items: int, block_size: int, seed: int | tuple,
             workers: int) -> list:
-    """[fn(*args, count, block_rng(seed, b)) for each block b], in block order,
-    spread over `workers` processes by map_blocks.
+    """[fn(*args, count, block_rng(*prefix, b)) for each block b], in block
+    order, spread over `workers` processes by map_blocks. The prefix is seed,
+    or (seed,) for an int.
 
     Block b covers items [b * block_size, min((b + 1) * block_size, n_items)).
     """
     if n_items < 0:
         raise ValueError(f"sample count must be at least 0, got {n_items}")
-    check_seed(seed)
-    return map_blocks(_seeded_block, (fn, args, n_items, block_size, seed),
+    prefix = check_seed(seed)
+    return map_blocks(_seeded_block, (fn, args, n_items, block_size, prefix),
                       -(-n_items // block_size), workers)
 
 
-def _seeded_block(fn, args: tuple, n_items: int, block_size: int, seed: int,
+def _seeded_block(fn, args: tuple, n_items: int, block_size: int, prefix: tuple,
                   b: int):
     count = min(block_size, n_items - b * block_size)
-    return fn(*args, count, block_rng(seed, b))
+    return fn(*args, count, block_rng(*prefix, b))
 
 
 def _shared_pool(workers: int) -> ProcessPoolExecutor:

@@ -44,9 +44,10 @@ for the cache holds it weakly. A fused run of 1-qubit finish factors is keyed
 on its trace tables' bytes, in a small LRU. Every cached array is read-only.
 
 Sampling streams: the samples are cut into batches of BATCH_SIZE, and batch b
-draws from its own Philox generator keyed by (seed, b) (see fanout). Batch
-sums are added in batch order, so a run is bit-reproducible for fixed
-(seed, n_samples) whatever the worker count.
+draws from the stream fanout.block_rng(seed, b), or (*seed, b) for a tuple
+seed such as a QAOA term's (seed, t). Batch sums are added in batch order, so
+a run is bit-reproducible for fixed (seed, n_samples) whatever the worker
+count.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class EstimateReport:
     epsilon: float
     delta: float
     cost: CostReport
-    seed: int
+    seed: int | tuple
     wall_time: float
     direction: str
     workers: int
@@ -445,13 +446,14 @@ def estimate(
     direction: str,
     n_samples: int,
     delta: float = 0.01,
-    seed: int = 0,
+    seed: int | tuple = 0,
     workers: int = 1,
 ) -> EstimateReport:
     """Mean of n_samples draws with the Hoeffding epsilon at confidence 1-delta.
 
     The draws run in batches of BATCH_SIZE spread over `workers` processes;
-    the result does not depend on the worker count.
+    the result does not depend on the worker count. seed is an int or a
+    tuple of ints, the key prefix of the batches' streams (see fanout).
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")

@@ -212,17 +212,9 @@ def epsilon_nest(m: int, n_samples: int, delta: float) -> float:
     return m / math.sqrt(n_samples) * math.sqrt(math.log(2 / delta))
 
 
-# the tag of the nested estimator's stream: larger than any list index, so
-# no term index can take it
-NESTED_TAG = 1 << 64
-
-
-def _term_seed(seed: int, term: int) -> int:
-    """Seed of one term's estimate, or of the nested estimator for term
-    NESTED_TAG, hashed from the pair (seed, term): no shift of the base seed
-    maps one run's streams onto another's, nor onto a stream keyed by a seed
-    directly, such as the instance draw block_rng(s + 1, 0)."""
-    return int(np.random.SeedSequence([seed, term]).generate_state(1, np.uint64)[0])
+# the path element of the nested estimator's streams (seed, _NESTED, b):
+# block b of term t draws from (seed, t, b), and no term index reaches it
+_NESTED = (1 << 64) - 1
 
 
 def heisenberg_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
@@ -232,7 +224,8 @@ def heisenberg_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int
     Returns (estimate, engine_epsilon): the second value is the triangle
     combination of each term's own Hoeffding epsilon, a valid bound even when
     the relaxed degree cap makes the closed-form exponent optimistic. The
-    terms run spread over `workers` processes, each term's estimate in one.
+    terms run spread over `workers` processes, each term's estimate in one;
+    term t's blocks draw from the streams (seed, t, b).
     """
     check_seed(seed)
     weights = term_weights(inst)
@@ -250,7 +243,7 @@ def _term_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
                    delta: float, seed: int, term: int) -> tuple[float, float]:
     """(mean, epsilon) of one term; the terms are what gets spread over workers."""
     rep = estimate(build_term_circuit(inst, params, term), "heisenberg",
-                   n_samples, delta=delta, seed=_term_seed(seed, term))
+                   n_samples, delta=delta, seed=(seed, term))
     return rep.mean, rep.epsilon
 
 
@@ -279,7 +272,7 @@ def _conjugated_paulis(params: QaoaParams):
 
 
 def vdn_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
-                 seed: int = 0, workers: int = 1) -> float:
+                 seed: int | tuple = 0, workers: int = 1) -> float:
     """Uniform-bitstring Monte Carlo for <C>, shared samples across terms.
 
     Per-sample totals are asserted against m/2 * (|cos 2b| + |sin 2b|)^3, the
@@ -331,7 +324,7 @@ def run_experiment(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
     t0 = perf_counter()
     c_heis, eps_engine = heisenberg_estimate(inst, params, n_samples, delta=delta,
                                              seed=seed, workers=workers)
-    c_vdn = vdn_estimate(inst, params, n_samples, seed=_term_seed(seed, NESTED_TAG),
+    c_vdn = vdn_estimate(inst, params, n_samples, seed=(seed, _NESTED),
                          workers=workers)
     eps_h = epsilon_heis(inst.m, n_samples, delta, params.gamma)
     eps_n = epsilon_nest(inst.m, n_samples, delta)

@@ -45,6 +45,10 @@ def test_block_streams_are_keyed_by_seed_and_block():
     b = block_rng(seed ^ 1, 0).random(8)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, block_rng(seed, 1).random(8))
+    # a key packed into as few 32-bit words as each value needs, or
+    # zero-padded, would make each of these pairs one stream
+    for one, other in (((2**32 + 7, 0, 3), (7, 1, 3)), ((5, 0), (5, 0, 0))):
+        assert not np.array_equal(block_rng(*one).random(8), block_rng(*other).random(8))
 
 
 def test_fan_out_returns_blocks_in_order():
@@ -53,10 +57,14 @@ def test_fan_out_returns_blocks_in_order():
     for b, block in enumerate(got):
         assert np.array_equal(block, block_rng(3, b).random(len(block)))
     assert fan_out(_draws, (), 0, 4, 3, workers=2) == []
+    # a tuple seed is the key prefix of every block's stream
+    for b, block in enumerate(fan_out(_draws, (), 10, 4, (3, 9), workers=2)):
+        assert np.array_equal(block, block_rng(3, 9, b).random(len(block)))
 
 
 @pytest.mark.parametrize("kwargs", [{"workers": 0}, {"workers": -1},
-                                    {"seed": -1}, {"seed": 2**64}])
+                                    {"seed": -1}, {"seed": 2**64},
+                                    {"seed": (3, -1)}, {"seed": (2**64, 0)}])
 def test_fan_out_rejects_bad_workers_and_seeds(kwargs):
     args = {"seed": 0, "workers": 1, **kwargs}
     with pytest.raises(ValueError, match="workers|seed"):

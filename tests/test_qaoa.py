@@ -216,22 +216,41 @@ def test_term_seeds_do_not_repeat_across_shifted_base_seeds(monkeypatch):
     # included: that once drew from block_rng(s + 1, b), batch b of a run at
     # seed s + 1 and, for b = 0, the instance generator of the qaoa CLI and
     # fig6 at seed s + 1
-    keys = []
-    real_rng = fanout.block_rng
-
-    def block_rng(seed, block):
-        keys.append((seed, block))
-        return real_rng(seed, block)
-
-    monkeypatch.setattr(fanout, "block_rng", block_rng)
-    runs = []
-    for seed in (5, 6):
-        keys.clear()
-        run_experiment(inst, params, 10, seed=seed)
-        runs.append(list(keys))
+    runs = _stream_keys(monkeypatch, inst, params, (5, 6))
     for run in runs:  # one batch per term, then one nested batch
         assert len(run) == len(set(run)) == inst.m + 1
     assert not set(runs[0]) & (set(runs[1]) | {(6, 0)})
+
+
+def _stream_keys(monkeypatch, inst, params, seeds):
+    """The block_rng key of every stream one run_experiment draws from, per
+    seed, in draw order."""
+    keys = []
+    real_rng = fanout.block_rng
+
+    def block_rng(*key):
+        keys.append(key)
+        return real_rng(*key)
+
+    monkeypatch.setattr(fanout, "block_rng", block_rng)
+    runs = []
+    for seed in seeds:
+        keys.clear()
+        run_experiment(inst, params, 10, seed=seed)
+        runs.append(list(keys))
+    return runs
+
+
+def test_runs_at_seeds_a_word_apart_share_no_stream(monkeypatch):
+    # a seed hashed as a variable number of 32-bit words made term 0 of a run
+    # at seed 2**32 + 7 draw term 1's stream of a run at seed 7
+    inst = generate_instance(8, 10, rng_for(3))
+    seeds = (7, 2**32 + 7)
+    runs = _stream_keys(monkeypatch, inst, QaoaParams(gamma=math.pi / 8), seeds)
+    keys = [key for run in runs for key in run] + [(seed, 0) for seed in seeds]
+    assert len(keys) == 2 * (inst.m + 1) + 2  # the instance draws come last
+    first = [block_rng(*key).random() for key in keys]
+    assert len(set(first)) == len(keys)
 
 
 def test_rotation_ptms_are_built_once_per_angle(monkeypatch):

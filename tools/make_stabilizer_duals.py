@@ -43,7 +43,6 @@ from pauliprop.channels import (
     make_rotation,
     ptm_from_choi,
 )
-from pauliprop.fanout import block_rng
 from pauliprop.magic import (
     DUAL_DENOM,
     MODES,
@@ -120,16 +119,23 @@ def prune(rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
     return np.array(sorted(keep), dtype=np.int64)
 
 
+def _family_rng(seed: int, f: int) -> np.random.Generator:
+    """Philox keyed (seed, f): the streams that drew the committed table's
+    inputs, kept here so that this script reproduces it byte for byte
+    (pauliprop's own streams, fanout.block_rng, would draw other inputs)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, f], dtype=np.uint64)))
+
+
 def build() -> np.ndarray:
     block = _split_weights(2)
     duals = []
     for f, family in enumerate(FAMILIES):
-        for t in family_tables(family, TRAIN, block_rng(TRAIN_SEED, f)):
+        for t in family_tables(family, TRAIN, _family_rng(TRAIN_SEED, f)):
             row = exact_dual(_min_weight(block, t).eqlin.marginals)
             if row is not None:
                 duals.append(row)
     rows = orbits(np.unique(duals, axis=0))
-    prune_set = np.concatenate([family_tables(family, PRUNE, block_rng(PRUNE_SEED, f))
+    prune_set = np.concatenate([family_tables(family, PRUNE, _family_rng(PRUNE_SEED, f))
                                 for f, family in enumerate(FAMILIES)])
     return rows[prune(rows, prune_set)]
 
