@@ -629,27 +629,27 @@ def test_csh_boundary_location():
         csh_boundary_f(f_low=0.9)
 
 
-# Seeded census outputs, taken from the one-LP-per-sample solver: categories
-# and invalid counts must match exactly, robustness values to 1e-9.
+# Seeded census outputs: categories and invalid counts must match exactly,
+# robustness values to 1e-9.
 _CENSUS_PINS = {
     "general": (
-        "M M M M M M M M S S M S M S M M S M M M M M M M",
-        [1.47579519429, 1.20514564716, 1.36991594964, 1.16494980512, 1.3378050069,
-         1.14024105316, 1.51231213865, 1.41109593325, 1.12838434649, 1.20451327447,
-         1.56992574358, 1.45552625596, 1.21000091672, 1.13394831667, 1.10144182395,
-         1.56127591574, 1.08763598975, 1.21059026572, 1.43118423817, 1.39462640538,
-         1.29357357013, 1.25601554629, 1.2717138208, 1.27759852228]),
+        "M M M M M M S M M M M M S S M M M M S M S M M M",
+        [1.15885028929, 1.41883419606, 1.29500305166, 1.35423907694, 1.341384854,
+         1.31236030625, 1.27800924106, 1.27305852878, 1.53858079762, 1.26470473542,
+         1.25344300956, 1.15672279649, 1.42736937745, 1.56357236596, 1.22437645405,
+         1.44305462303, 1.14593145007, 1.20402072656, 1.42935001457, 1.32648048326,
+         1.2223294653, 1.13646781821, 1.2019357495, 1.12152425914]),
     "unital": (
-        "CS CS CS CS S CS S S CS CS S CS CS CS CS S CS CS S S CS CS S CS",
-        [1.0, 1.0, 1.0, 1.0, 1.02252566676, 1.0, 1.02845870967, 1.03970277358,
-         1.0, 1.0, 1.05600846038, 1.0, 1.0, 1.0, 1.0, 1.06201096071, 1.0, 1.0,
-         1.07257755353, 1.022736633, 1.0, 1.0, 1.12509412239, 1.0]),
+        "CS S S CS CS CS S CS S CS S CS S S CS CS CS CS S CS CS S CS S",
+        [1.0, 1.05153703018, 1.04287111754, 1.0, 1.0, 1.0, 1.00689867631, 1.0,
+         1.05740045121, 1.0, 1.00001034038, 1.0, 1.03118198015, 1.02951260851, 1.0,
+         1.0, 1.0, 1.0, 1.01315270228, 1.0, 1.0, 1.00720338678, 1.0, 1.00284026814]),
     "trace_preserving": (
-        "CH CH H H H CH M CH CH CH H CH H CH CH H CH H H H H H M H",
-        [1.0, 1.0, 1.17357583308, 1.06954622239, 1.05866727026, 1.0, 1.1429921263,
-         1.0, 1.0, 1.0, 1.08741282648, 1.0, 1.16971415633, 1.0, 1.0, 1.04635754654,
-         1.0, 1.03057699238, 1.00188576362, 1.01152354597, 1.09665262312,
-         1.10602385516, 1.0831236474, 1.02704658284]),
+        "CH H H H H CH CH H H CH H CH CH CH H H CH CH CH H CH H CH M",
+        [1.0, 1.09932070425, 1.0274453776, 1.04833791921, 1.03794088828, 1.0, 1.0,
+         1.12730362284, 1.2102553912, 1.0, 1.05846721462, 1.0, 1.0, 1.0,
+         1.03005522294, 1.06852685801, 1.0, 1.0, 1.0, 1.13464180238, 1.0,
+         1.05505851293, 1.0, 1.04990929747]),
     "both": (" ".join(["CSH"] * 24), [1.0] * 24),
 }
 
@@ -667,4 +667,4 @@ def test_seeded_channel_census_is_pinned(mode):
 
 def test_seeded_state_census_is_pinned():
     assert state_census(40, n=2, seed=5) == {
-        "stabilizer_mixture": 1, "hyper_octahedral_nonstab": 21, "magic": 18}
+        "stabilizer_mixture": 1, "hyper_octahedral_nonstab": 19, "magic": 20}
