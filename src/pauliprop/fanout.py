@@ -11,9 +11,10 @@ streams. A counter-based generator keyed (seed, b) (Salmon et al., SC'11)
 gives the same for two words by construction, each key being its own
 bijection of the counter; the hash takes a key of any length, so a stream is
 named by its whole path, such as (seed, t, b) for block b of term t of a
-QAOA run. A plain int list would not do: SeedSequence splits it into as few
-32-bit words as each value needs and zero-pads a short input, so
-(2**32 + 7, 0) would draw the stream of (7, 1), and (5, 0, 0) that of (5, 0).
+QAOA run. A plain int list or uint64 array would not do: SeedSequence
+splits it into as few 32-bit words as each value needs and zero-pads a short
+input, so (2**32 + 7, 0) would draw the stream of (7, 1), and (5, 0, 0) that
+of (5, 0).
 
 fan_out cuts n_items into fixed-size blocks; block b draws from
 block_rng(*prefix, b), where the prefix is the caller's seed (an int, or a
