@@ -212,7 +212,7 @@ def test_term_seeds_do_not_repeat_across_shifted_base_seeds(monkeypatch):
     with pytest.raises(ValueError, match="seed"):
         heisenberg_estimate(inst, params, 10, seed=-1)
 
-    # every (seed, block) stream key of one run_experiment, nested estimator
+    # every stream key of one run_experiment, nested estimator
     # included: that once drew from block_rng(s + 1, b), batch b of a run at
     # seed s + 1 and, for b = 0, the instance generator of the qaoa CLI and
     # fig6 at seed s + 1
