@@ -66,25 +66,27 @@ def _write_csv(path: str, meta: dict, header: list, rows: list):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _sample_count(args, circuit, direction: str) -> int:
-    if args.samples is not None:
-        return args.samples
-    return plan_samples(circuit, direction, args.epsilon, args.delta)
+def _estimates(args, circuit) -> dict:
+    """{direction: EstimateReport} for each direction of --direction, at
+    --samples or at the count planned for --epsilon."""
+    directions = ["schrodinger", "heisenberg"] if args.direction == "both" \
+        else [args.direction]
+    reports = {}
+    for d in directions:
+        n = args.samples if args.epsilon is None else \
+            plan_samples(circuit, d, args.epsilon, args.delta)
+        reports[d] = estimate(circuit, d, n, delta=args.delta, seed=args.seed,
+                              workers=args.workers)
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_estimate(args) -> int:
-    circuit = load_circuit(args.circuit)
-    directions = ["schrodinger", "heisenberg"] if args.direction == "both" \
-        else [args.direction]
-    reports = {}
-    for d in directions:
-        n = _sample_count(args, circuit, d)
-        reports[d] = estimate(circuit, d, n, delta=args.delta, seed=args.seed,
-                              workers=args.workers).to_dict()
-    out = reports[directions[0]] if len(directions) == 1 else {
+    reports = {d: rep.to_dict()
+               for d, rep in _estimates(args, load_circuit(args.circuit)).items()}
+    out = next(iter(reports.values())) if len(reports) == 1 else {
         **reports,
         "discrepancy": abs(reports["schrodinger"]["mean"] - reports["heisenberg"]["mean"]),
     }
@@ -95,25 +97,12 @@ def _cmd_estimate(args) -> int:
 def _cmd_verify(args) -> int:
     circuit = load_circuit(args.circuit)
     oracle = run_exact(circuit)
-    directions = ["schrodinger", "heisenberg"] if args.direction == "both" \
-        else [args.direction]
-    out = {"oracle": oracle}
-    ok = True
-    for d in directions:
-        n = _sample_count(args, circuit, d)
-        rep = estimate(circuit, d, n, delta=args.delta, seed=args.seed,
-                       workers=args.workers)
-        passed = abs(rep.mean - oracle) <= rep.epsilon
-        ok = ok and passed
-        out[d] = {
-            "estimate": rep.mean,
-            "abs_diff": abs(rep.mean - oracle),
-            "epsilon": rep.epsilon,
-            "n_samples": rep.n_samples,
-            "passed": passed,
-        }
-    out["passed"] = ok
-    _emit(out, args.output)
+    out = {d: {"estimate": rep.mean, "abs_diff": abs(rep.mean - oracle),
+               "epsilon": rep.epsilon, "n_samples": rep.n_samples,
+               "passed": abs(rep.mean - oracle) <= rep.epsilon}
+           for d, rep in _estimates(args, circuit).items()}
+    _emit({**out, "oracle": oracle, "passed": all(r["passed"] for r in out.values())},
+          args.output)
     return 0
 
 
@@ -169,20 +158,17 @@ def _fig5_rows(samples: int, seed: int, workers: int):
     return ["mode", "category", "count", "fraction"], rows
 
 
-# the record fields of one QAOA run, as the qaoa --out and fig6 CSVs write them
-_QAOA_COLUMNS = ("gamma", "m", "n_samples", "C_heis", "C_vdn", "eps_heis",
-                 "eps_nest", "abs_err", "seconds")
+def _instance(n: int, m: int, seed: int):
+    """The E3LIN2 instance that qaoa --n/--m and fig6 draw from the stream (seed, 0)."""
+    return qaoa.generate_instance(n, m, block_rng(seed, 0))
 
 
 def _fig6_rows(samples: int, seed: int, workers: int):
-    rng = block_rng(seed, 0)
-    inst = qaoa.generate_instance(16, 20, rng)
-    rows = []
-    for gamma in np.linspace(0.0, math.pi / 4, 9):
-        rec = qaoa.run_experiment(inst, qaoa.QaoaParams(gamma=float(gamma)),
-                                  samples, seed=seed, workers=workers)
-        rows.append([rec[k] for k in _QAOA_COLUMNS])
-    return _QAOA_COLUMNS, rows
+    inst = _instance(16, 20, seed)
+    recs = [qaoa.run_experiment(inst, qaoa.QaoaParams(gamma=float(gamma)), samples,
+                                seed=seed, workers=workers)
+            for gamma in np.linspace(0.0, math.pi / 4, 9)]
+    return list(recs[0]), [list(rec.values()) for rec in recs]
 
 
 _FIGURE_DEFAULT_SAMPLES = {"fig2": 10_000, "fig5": 2_500, "fig6": 100_000}
@@ -219,8 +205,7 @@ def _cmd_qaoa(args) -> int:
     else:
         if args.n is None or args.m is None:
             raise SpecValidationError("need --n and --m (or --instance FILE)")
-        rng = block_rng(args.seed, 0)
-        inst = qaoa.generate_instance(args.n, args.m, rng)
+        inst = _instance(args.n, args.m, args.seed)
     if args.save_instance:
         with open(args.save_instance, "w") as fh:
             json.dump(instance_to_json(inst), fh, indent=2)
@@ -230,7 +215,7 @@ def _cmd_qaoa(args) -> int:
                               seed=args.seed, workers=args.workers)
     if args.out:
         _write_csv(args.out, {"n": inst.n, "seed": args.seed, "beta": args.beta},
-                   _QAOA_COLUMNS, [[rec[k] for k in _QAOA_COLUMNS]])
+                   list(rec), [list(rec.values())])
     _emit(rec, args.output)
     return 0
 
@@ -262,11 +247,7 @@ def _load_channel_spec(args):
 
 
 def _cmd_classify_channel(args) -> int:
-    app = _load_channel_spec(args)
-    if app.ptm.k != 1:
-        raise SpecValidationError(
-            "classification runs on single-qubit channels (two-qubit Choi states)")
-    ptm = magic.project_ptm(app.ptm, args.mode)
+    ptm = magic.project_ptm(_load_channel_spec(args).ptm, args.mode)
     rec = magic.classify_ptm(ptm)
     _emit({"mode": args.mode, "d_forward": rec.d_forward,
            "d_adjoint": rec.d_adjoint, "robustness": rec.robustness,
@@ -303,7 +284,11 @@ def _add_common(p, report=True):
                    help="worker process count (default 1), at most the CPUs this "
                         "process may use")
     if report:
-        p.add_argument("--output", help="write the JSON report here instead of stdout")
+        _add_output(p)
+
+
+def _add_output(p):
+    p.add_argument("--output", help="write the JSON report here instead of stdout")
 
 
 def _add_sampling(p):
@@ -323,23 +308,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", help="run one or both estimators on a circuit file")
-    p.add_argument("--circuit", required=True, help="circuit JSON path")
-    p.add_argument("--direction", choices=["schrodinger", "heisenberg", "both"],
-                   default="heisenberg")
-    _add_sampling(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_estimate)
+    def add(name, fn, help):
+        # no abbreviations: a prefix such as --out must not stand for --output
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("verify", help="compare estimates with the exact oracle (n <= 8)")
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--direction", choices=["schrodinger", "heisenberg", "both"],
-                   default="both")
-    _add_sampling(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_verify)
+    for name, fn, direction, help in (
+            ("estimate", _cmd_estimate, "heisenberg",
+             "run one or both estimators on a circuit file"),
+            ("verify", _cmd_verify, "both",
+             "compare estimates with the exact oracle (n <= 8)")):
+        p = add(name, fn, help)
+        p.add_argument("--circuit", required=True, help="circuit JSON path")
+        p.add_argument("--direction", choices=["schrodinger", "heisenberg", "both"],
+                       default=direction)
+        _add_sampling(p)
+        _add_common(p)
 
-    p = sub.add_parser("figures", help="emit figure datasets as CSV")
+    p = add("figures", _cmd_figures, "emit figure datasets as CSV")
     p.add_argument("--which", required=True,
                    choices=["fig1", "fig2", "fig3", "fig5", "fig6"])
     p.add_argument("--out", required=True, help="CSV output path")
@@ -347,9 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample count where applicable (defaults are desk-scale)")
     p.add_argument("--grid", type=int, default=41, help="fig1 grid points per axis")
     _add_common(p, report=False)
-    p.set_defaults(fn=_cmd_figures)
 
-    p = sub.add_parser("qaoa", help="run the satisfiability-phase experiment")
+    p = add("qaoa", _cmd_qaoa, "run the satisfiability-phase experiment")
     p.add_argument("--n", type=int, help="qubit count (with --m)")
     p.add_argument("--m", type=int, help="equation count")
     p.add_argument("--instance", help="load an instance JSON instead of generating")
@@ -358,31 +344,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=math.pi / 4)
     p.add_argument("--samples", type=int, required=True, help="samples per term")
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--out", help="also write the run as a one-row CSV here")
+    p.add_argument("--out", help="also write the run's record as a one-row CSV here")
     _add_common(p)
-    p.set_defaults(fn=_cmd_qaoa)
 
-    p = sub.add_parser("census", help="classify random channels and tally categories")
+    p = add("census", _cmd_census, "classify random channels and tally categories")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--mode", choices=list(magic.MODES), default="general")
     p.add_argument("--out", help="per-sample records CSV path")
     _add_common(p)
-    p.set_defaults(fn=_cmd_census)
 
-    p = sub.add_parser("classify-channel", help="Venn category of one channel spec")
-    spec = p.add_mutually_exclusive_group(required=True)
-    spec.add_argument("--spec", help="channel spec as an inline JSON object")
-    spec.add_argument("--spec-file", help="channel spec JSON path")
-    p.add_argument("--mode", choices=list(magic.MODES), default="general")
-    p.add_argument("--output", help="write the JSON report here instead of stdout")
-    p.set_defaults(fn=_cmd_classify_channel)
-
-    p = sub.add_parser("norms", help="print cost norms for one channel spec")
-    spec = p.add_mutually_exclusive_group(required=True)
-    spec.add_argument("--spec", help="channel spec as an inline JSON object")
-    spec.add_argument("--spec-file", help="channel spec JSON path")
-    p.add_argument("--output", help="write the JSON report here instead of stdout")
-    p.set_defaults(fn=_cmd_norms)
+    classify = add("classify-channel", _cmd_classify_channel,
+                   "Venn category of one channel spec")
+    classify.add_argument("--mode", choices=list(magic.MODES), default="general")
+    for p in (classify, add("norms", _cmd_norms, "print cost norms for one channel spec")):
+        spec = p.add_mutually_exclusive_group(required=True)
+        spec.add_argument("--spec", help="channel spec as an inline JSON object")
+        spec.add_argument("--spec-file", help="channel spec JSON path")
+        _add_output(p)
 
     return parser
 

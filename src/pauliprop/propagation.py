@@ -157,18 +157,27 @@ def hoeffding_epsilon(total_bound: float, n_samples: int, delta: float) -> float
 
 
 def _check_delta(delta: float):
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    # ln(2 / delta) enters every epsilon and sample count
+    if not (0.0 < delta < 1.0 and math.isfinite(2.0 / delta)):
+        raise ValueError(f"delta must lie in (0, 1) with 2 / delta finite, got {delta!r}")
 
 
 def plan_samples(circuit: Circuit, direction: str, epsilon_target: float, delta: float) -> int:
-    """Smallest N with (1/2N) ln(2/delta) (2*total_bound)^2 <= epsilon^2."""
+    """Smallest N with (1/2N) ln(2/delta) (2*total_bound)^2 <= epsilon^2.
+
+    Raises ValueError when that N is past the float range."""
     if not (math.isfinite(epsilon_target) and epsilon_target > 0):
         raise ValueError(f"epsilon target must be finite and positive, got {epsilon_target!r}")
     _check_delta(delta)
     rng_bound = 2.0 * cost_report(circuit, direction).total_bound
-    n = math.ceil((rng_bound**2 / (2.0 * epsilon_target**2)) * math.log(2.0 / delta))
-    return max(int(n), 1)
+    try:
+        n = (rng_bound**2 / (2.0 * epsilon_target**2)) * math.log(2.0 / delta)
+    except (OverflowError, ZeroDivisionError):  # a square over- or underflowed
+        n = math.inf
+    if n == math.inf:
+        raise ValueError(f"the sample count for epsilon {epsilon_target!r} at delta "
+                         f"{delta!r} is not finite")
+    return max(math.ceil(n), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -212,24 +212,26 @@ def epsilon_nest(m: int, n_samples: int, delta: float) -> float:
     return m / math.sqrt(n_samples) * math.sqrt(math.log(2 / delta))
 
 
-# the path element of the nested estimator's streams (seed, _NESTED, b):
-# block b of term t draws from (seed, t, b), and no term index reaches it
+# the path element of the nested estimator's streams (*prefix, _NESTED, b):
+# block b of term t draws from (*prefix, t, b), and no term index reaches it
 _NESTED = (1 << 64) - 1
 
 
 def heisenberg_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
-                        delta: float = 0.01, seed: int = 0, workers: int = 1):
+                        delta: float = 0.01, seed: int | tuple = 0, workers: int = 1):
     """Per-term Heisenberg estimates combined linearly.
 
     Returns (estimate, engine_epsilon): the second value is the triangle
     combination of each term's own Hoeffding epsilon, a valid bound even when
     the relaxed degree cap makes the closed-form exponent optimistic. The
-    terms run spread over `workers` processes, each term's estimate in one;
-    term t's blocks draw from the streams (seed, t, b).
+    terms run spread over `workers` processes, each term's estimate in one.
+    seed is an int s, taken as the key prefix (s,), or a tuple of ints, the
+    prefix itself: term t's blocks draw from (*prefix, t, b), so seed=5 and
+    seed=(5,) give the same result.
     """
-    check_seed(seed)
+    prefix = check_seed(seed)
     weights = term_weights(inst)
-    terms = map_blocks(_term_estimate, (inst, params, n_samples, delta, seed),
+    terms = map_blocks(_term_estimate, (inst, params, n_samples, delta, prefix),
                        inst.m, workers)
     total = 0.0
     eps = 0.0
@@ -240,10 +242,10 @@ def heisenberg_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int
 
 
 def _term_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
-                   delta: float, seed: int, term: int) -> tuple[float, float]:
+                   delta: float, prefix: tuple, term: int) -> tuple[float, float]:
     """(mean, epsilon) of one term; the terms are what gets spread over workers."""
     rep = estimate(build_term_circuit(inst, params, term), "heisenberg",
-                   n_samples, delta=delta, seed=(seed, term))
+                   n_samples, delta=delta, seed=(*prefix, term))
     return rep.mean, rep.epsilon
 
 
@@ -319,12 +321,14 @@ def _vdn_block(inst: E3Lin2Instance, params: QaoaParams, count: int, rng) -> flo
 
 
 def run_experiment(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
-                   delta: float = 0.01, seed: int = 0, workers: int = 1) -> dict:
-    """Both estimators plus their error bounds; n_samples counts per term."""
+                   delta: float = 0.01, seed: int | tuple = 0, workers: int = 1) -> dict:
+    """Both estimators plus their error bounds; n_samples counts per term. seed
+    is a key prefix as in heisenberg_estimate."""
     t0 = perf_counter()
+    prefix = check_seed(seed)
     c_heis, eps_engine = heisenberg_estimate(inst, params, n_samples, delta=delta,
-                                             seed=seed, workers=workers)
-    c_vdn = vdn_estimate(inst, params, n_samples, seed=(seed, _NESTED),
+                                             seed=prefix, workers=workers)
+    c_vdn = vdn_estimate(inst, params, n_samples, seed=(*prefix, _NESTED),
                          workers=workers)
     eps_h = epsilon_heis(inst.m, n_samples, delta, params.gamma)
     eps_n = epsilon_nest(inst.m, n_samples, delta)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pauliprop import channels, cli
+from pauliprop import channels, cli, qaoa
 from pauliprop.channels import choi_matrix, postselection_probability, ptm_from_choi
 from pauliprop.magic import CHANNEL_CATEGORIES, STATE_CATEGORIES, sample_hilbert_schmidt
 
@@ -182,9 +182,14 @@ def test_factor_on_four_qubits_is_exit_3(tmp_path, capsys, factor):
     ["estimate", "--epsilon", "0.1", "--delta", "0"],
     ["qaoa", "--n", "8", "--m", "10", "--gamma", "0.3", "--samples", "100",
      "--delta", "0"],
+    # 2 / delta overflows: the epsilon was Infinity, the planned count a crash
+    ["estimate", "--samples", "100", "--delta", "1e-320"],
+    ["verify", "--epsilon", "0.1", "--delta", "1e-320"],
+    ["qaoa", "--n", "8", "--m", "10", "--gamma", "0.3", "--samples", "100",
+     "--delta", "1e-320"],
 ])
 def test_bad_delta_is_exit_3(tmp_path, capsys, argv):
-    if argv[0] == "estimate":
+    if argv[0] != "qaoa":
         argv = argv + ["--circuit", write_circuit(tmp_path, circuit_obj())]
     code = cli.main(argv + ["--seed", "1"])
     assert code == 3
@@ -193,6 +198,26 @@ def test_bad_delta_is_exit_3(tmp_path, capsys, argv):
     err = json.loads(captured.err)
     assert err["error"]["type"] == "validation"
     assert "delta" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+@pytest.mark.parametrize("gates,epsilon", [
+    (0, "1e-200"),  # epsilon**2 underflows to 0
+    (1100, "0.1"),  # the cost bound, about 3.7e165, overflows when squared
+])
+def test_sample_count_past_the_float_range_is_exit_3(tmp_path, capsys, command, gates,
+                                                     epsilon):
+    obj = {"n": 1, "input": [{"state": "zero", "qubits": [0]}],
+           "channels": [{"gate": "t", "qubits": [0]}] * gates,
+           "observable": [{"pauli": "X", "qubits": [0]}]}
+    code = cli.main([command, "--circuit", write_circuit(tmp_path, obj), "--direction",
+                     "heisenberg", "--epsilon", epsilon, "--seed", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "validation"
+    assert "not finite" in err["error"]["message"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -398,12 +423,19 @@ def test_figures_fig5_modes(tmp_path, capsys):
         assert sum(int(r.split(",")[2]) for r in rows) == 40
 
 
+def qaoa_record_keys():
+    """The fields of a qaoa.run_experiment record, in its order."""
+    inst = qaoa.generate_instance(8, 10, np.random.default_rng(0))
+    return list(qaoa.run_experiment(inst, qaoa.QaoaParams(gamma=0.1), 1))
+
+
 def test_figures_fig6_small(tmp_path, capsys):
     out = tmp_path / "fig6.csv"
     assert cli.main(["figures", "--which", "fig6", "--samples", "100",
                      "--out", str(out), "--seed", "3"]) == 0
     lines = read_csv_lines(out)
-    assert lines[1].split(",")[0] == "gamma"
+    assert lines[1].split(",") == qaoa_record_keys()
+    assert "eps_heis_engine" in lines[1].split(",")
     assert len(lines) == 2 + 9
 
 
@@ -430,13 +462,19 @@ def test_qaoa_csv_stable_modulo_timing(tmp_path, capsys):
             "200", "--seed", "1"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli.main(argv + ["--out", str(a)]) == 0
-    capsys.readouterr()
+    rec = json.loads(capsys.readouterr().out)
     assert cli.main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     la, lb = read_csv_lines(a), read_csv_lines(b)
     assert la[:2] == lb[:2]
     # final column is wall time; everything else must be bit-identical
     assert la[2].rsplit(",", 1)[0] == lb[2].rsplit(",", 1)[0]
+    # the row is the JSON record, every field in run_experiment's order
+    header, row = la[1].split(","), la[2].split(",")
+    assert header == qaoa_record_keys() and sorted(header) == sorted(rec)
+    assert "eps_heis_engine" in header and header[-1] == "seconds"
+    for key, text in zip(header[:-1], row):
+        assert float(text) == pytest.approx(rec[key], rel=1e-11)
 
 
 def test_census_counts_and_records(tmp_path, capsys):
@@ -579,6 +617,16 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     assert code == 0 and rep["passed"]
 
 
+def test_readme_cli_lines_parse():
+    # every command line of README's CLI block, with its continuations joined
+    (block,) = re.findall(r"^## CLI\n.*?```\n(.*?)```", README.read_text(), re.S | re.M)
+    lines = re.findall(r"^pauliprop .*$", block.replace("\\\n", ""), re.M)
+    assert len(lines) == 7
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+
+
 def test_argparse_contracts(capsys):
     with pytest.raises(SystemExit):
         cli.main(["estimate", "--circuit", "x.json", "--seed", "0"])  # no N/eps
@@ -639,6 +687,9 @@ def test_subcommand_options_are_pinned():
      "--output", "r.json"],
     ["norms", "--spec", '{"gate": "cnot", "qubits": [0, 1]}', "--workers", "2",
      "--output", "r.json"],
+    # no abbreviations: --out is census's CSV path, never a prefix of --output
+    ["estimate", "--circuit", "c.json", "--samples", "10", "--seed", "1",
+     "--out", "r.csv"],
 ])
 def test_removed_flags_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

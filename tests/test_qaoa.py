@@ -191,6 +191,18 @@ def test_run_experiment_record():
     assert rec["seconds"] > 0
 
 
+def test_seed_tuple_is_a_key_prefix():
+    # an int seed s keys the same streams as the prefix (s,)
+    inst = generate_instance(8, 10, rng_for(2))
+    params = QaoaParams(gamma=math.pi / 16)
+    assert (heisenberg_estimate(inst, params, 300, seed=(5,))
+            == heisenberg_estimate(inst, params, 300, seed=5))
+    recs = [run_experiment(inst, params, 300, seed=seed) for seed in ((5,), 5, (5, 1))]
+    for rec in recs:
+        del rec["seconds"]
+    assert recs[0] == recs[1] != recs[2]
+
+
 def test_term_seeds_do_not_repeat_across_shifted_base_seeds(monkeypatch):
     # with an additive stride of 0x9E3779B9 per term, these two base seeds
     # would share 9 of the 10 term streams
