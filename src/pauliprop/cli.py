@@ -4,7 +4,8 @@ Subcommands: estimate, verify, figures, qaoa, census, classify-channel, norms.
 Reports are JSON on stdout (or --output), except from figures, which writes
 only its CSV; figure and census datasets are CSV with one metadata comment
 line. Exit codes: 2 file parse errors, 3 validation errors, 4 cost-bound
-overflow, 5 oracle register too large.
+overflow, 5 oracle register too large, 6 a file that cannot be read or
+written, 7 a sample count above MAX_SAMPLES.
 """
 
 from __future__ import annotations
@@ -39,6 +40,23 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_OVERFLOW = 4
 EXIT_ORACLE = 5
+EXIT_IO = 6
+EXIT_BUDGET = 7
+
+# 2**40 samples of a one-gate, one-qubit circuit take about 12 hours on a
+# 2-core host; the library functions themselves take any count
+MAX_SAMPLES = 2**40
+
+
+class SampleBudgetError(Exception):
+    """A CLI run would draw more than MAX_SAMPLES samples."""
+
+
+def _budget(n: int) -> int:
+    """n, refused when it exceeds MAX_SAMPLES."""
+    if n > MAX_SAMPLES:
+        raise SampleBudgetError(f"sample count {n} exceeds MAX_SAMPLES = 2**40")
+    return n
 
 
 def _emit(report: dict, output: str | None):
@@ -68,16 +86,16 @@ def _write_csv(path: str, meta: dict, header: list, rows: list):
 
 def _estimates(args, circuit) -> dict:
     """{direction: EstimateReport} for each direction of --direction, at
-    --samples or at the count planned for --epsilon."""
+    --samples or at the count planned for --epsilon. Every count is checked
+    against MAX_SAMPLES before any sampling."""
     directions = ["schrodinger", "heisenberg"] if args.direction == "both" \
         else [args.direction]
-    reports = {}
-    for d in directions:
-        n = args.samples if args.epsilon is None else \
-            plan_samples(circuit, d, args.epsilon, args.delta)
-        reports[d] = estimate(circuit, d, n, delta=args.delta, seed=args.seed,
-                              workers=args.workers)
-    return reports
+    counts = {d: _budget(args.samples if args.epsilon is None else
+                         plan_samples(circuit, d, args.epsilon, args.delta))
+              for d in directions}
+    return {d: estimate(circuit, d, n, delta=args.delta, seed=args.seed,
+                        workers=args.workers)
+            for d, n in counts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +196,10 @@ def _cmd_figures(args) -> int:
     samples = args.samples
     if samples is None:
         samples = _FIGURE_DEFAULT_SAMPLES.get(args.which, 0)
-    if args.which in _FIGURE_DEFAULT_SAMPLES and samples < 1:
-        # fig2 and fig5 divide by the count
-        raise ValueError(f"sample count must be at least 1, got {samples}")
+    if args.which in _FIGURE_DEFAULT_SAMPLES:
+        if samples < 1:  # fig2 and fig5 divide by the count
+            raise ValueError(f"sample count must be at least 1, got {samples}")
+        _budget(samples)
     if args.which == "fig1":
         header, rows = _fig1_rows(args.grid)
     elif args.which == "fig2":
@@ -200,6 +219,7 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_qaoa(args) -> int:
+    _budget(args.samples)
     if args.instance:
         inst = load_instance(args.instance)
     else:
@@ -221,6 +241,7 @@ def _cmd_qaoa(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    _budget(args.samples)
     res = magic.classification_census(args.samples, mode=args.mode,
                                       seed=args.seed, workers=args.workers)
     if args.out:
@@ -370,6 +391,8 @@ _FAILURES = (
     (BoundOverflowError, EXIT_OVERFLOW, "bound_overflow"),
     (OracleTooLargeError, EXIT_ORACLE, "oracle_too_large"),
     (ValueError, EXIT_VALIDATION, "validation"),
+    (OSError, EXIT_IO, "io"),
+    (SampleBudgetError, EXIT_BUDGET, "sample_budget"),
 )
 
 

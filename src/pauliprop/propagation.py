@@ -37,11 +37,22 @@ starts from. The finish contraction is a run of the same steps that flip
 nothing: a factor A is a deterministic step whose mult is its trace table
 Tr(sigma A), so a batch walks one list of steps from start to finish.
 
+Runs of Clifford gates are fused at compile time. A step with m = 1 and every
+mult exactly +-1 is a signed permutation of local codes, and two such steps
+compose into one on the union of their qubits: out = out2[out1] and
+mult = mult1 * mult2[out1]. Each run of consecutive such steps whose qubits
+number at most _FUSE_QUBITS becomes one step with 4^K entries per table; any
+other step (stochastic, noisy or killing) ends a run. The fused step draws
+nothing, and a coefficient times a product of +-1 is exactly the coefficient
+times each in turn, so every seeded output is bit-identical to the step by
+step walk. Cost bounds still come from the circuit's own channels.
+
 Compiled steps are cached. A channel's tables are tabulated once per PTM
 object and direction (R or R^T), and a start factor's once per DenseOperator,
 then placed once per qubit tuple; all of it lives as long as that object does,
 for the cache holds it weakly. A fused run of 1-qubit finish factors is keyed
-on its trace tables' bytes, in a small LRU. Every cached array is read-only.
+on its trace tables' bytes, in a small LRU. Fused channel steps are built
+afresh by each compile. Every cached or compiled array is read-only.
 
 Sampling streams: the samples are cut into batches of BATCH_SIZE, and batch b
 draws from the stream fanout.block_rng(seed, b), or (*seed, b) for a tuple
@@ -257,6 +268,8 @@ class _Step:
 _FINISH_BLOCK_QUBITS = 8
 # a fused table holds up to 4^8 float64 entries (512 KiB): keep few
 _FINISH_CACHE_SIZE = 4
+# a fused channel step has 4^5 entries per table, built afresh per compile
+_FUSE_QUBITS = 5
 
 
 # PTM or DenseOperator -> {direction or "start": its _tabulate table, and
@@ -303,10 +316,56 @@ def _compile_steps(circuit: Circuit, direction: str) -> list:
     # is tabulated once per direction, and placed once per qubit tuple, for
     # as long as the PTM object lives
     if direction == "schrodinger":
-        return [_cached_step(app.ptm, direction, app.ptm.matrix, app.qubits)
-                for app in circuit.channels]
-    return [_cached_step(app.ptm, direction, app.ptm.matrix.T, app.qubits)
-            for app in reversed(circuit.channels)]
+        steps = [_cached_step(app.ptm, direction, app.ptm.matrix, app.qubits)
+                 for app in circuit.channels]
+    else:
+        steps = [_cached_step(app.ptm, direction, app.ptm.matrix.T, app.qubits)
+                 for app in reversed(circuit.channels)]
+    return _fuse_runs(steps)
+
+
+def _fuse_runs(steps: list) -> list:
+    """steps with each run of consecutive signed-permutation steps (m = 1,
+    every mult exactly +-1) on at most _FUSE_QUBITS qubits in all fused into
+    one step. Any other step ends a run; a run of one keeps its step."""
+    runs = []  # (the run's qubits, or None for a step that no run takes; its steps)
+    for st in steps:
+        if not (st.m == 1 and np.all(np.abs(st.mult) == 1.0)):
+            runs.append((None, [st]))
+        elif runs and runs[-1][0] is not None and \
+                len(runs[-1][0].union(st.qubits)) <= _FUSE_QUBITS:
+            runs[-1][0].update(st.qubits)
+            runs[-1][1].append(st)
+        else:
+            runs.append((set(st.qubits), [st]))
+    return [run[0] if len(run) == 1 else _fused(run, sorted(qubits)) for qubits, run in runs]
+
+
+def _fused(run: list, qubits: list) -> _Step:
+    """The step on `qubits` that walks `run`: every local code of the union is
+    put in lane words and walked through the run's steps, which compose as
+    out = out2[out1], mult = mult1 * mult2[out1]. The products of +-1 are
+    exact, so a lane's coefficient ends bit for bit as it does step by step."""
+    codes = np.arange(4 ** len(qubits))
+    start = np.zeros((-(-ENGINE_MAX_QUBITS // _WORD_QUBITS), len(codes)), dtype=np.uint64)
+    for word, delta in _spread(codes, qubits):
+        start[word] = delta
+    words = start.copy()
+    lanes = words.view(np.int64)
+    code, tmp = np.empty_like(codes), np.empty_like(codes)
+    mult = np.ones(len(codes))
+    for st in run:
+        _gather_code(lanes, st.gather, code, tmp)
+        mult *= st.mult[code]
+        for word, table in st.flips:
+            words[word] ^= table[code]
+    words ^= start  # the bits each code's walk flipped
+    # copies, so that a step on one word does not keep the other word's row
+    flips = tuple((word, delta.copy()) for word, delta in enumerate(words) if delta.any())
+    cum = np.ones((0, len(codes)))
+    for a in (cum, mult, *(delta for _, delta in flips)):
+        a.setflags(write=False)
+    return _Step(tuple(qubits), _gather_plan(qubits), 1, cum, mult, flips, False)
 
 
 def _tabulate(r: np.ndarray) -> tuple:

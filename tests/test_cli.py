@@ -14,6 +14,7 @@ import pytest
 from pauliprop import channels, cli, qaoa
 from pauliprop.channels import choi_matrix, postselection_probability, ptm_from_choi
 from pauliprop.magic import CHANNEL_CATEGORIES, STATE_CATEGORIES, sample_hilbert_schmidt
+from pauliprop.propagation import DIRECTIONS
 
 
 def circuit_obj():
@@ -301,6 +302,104 @@ def test_oracle_cap_is_exit_5(tmp_path, capsys):
     assert code == 5
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "oracle_too_large"
+
+
+def _io_argv(tmp_path, where):
+    """A run whose `where` path is missing: a file that is not there, or one
+    to write in a folder that is not there."""
+    missing = str(tmp_path / "nope" / "x.json")
+    circuit = write_circuit(tmp_path, circuit_obj())
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"gate": "h", "qubits": [0]}')
+    qaoa_run = ["qaoa", "--gamma", "0.3", "--samples", "20", "--seed", "1"]
+    return {
+        "estimate --circuit": ["estimate", "--circuit", missing, "--samples", "10",
+                               "--seed", "1"],
+        "verify --circuit": ["verify", "--circuit", missing, "--samples", "10",
+                             "--seed", "1"],
+        "estimate --output": ["estimate", "--circuit", circuit, "--samples", "10",
+                              "--seed", "1", "--output", missing],
+        "classify-channel --spec-file": ["classify-channel", "--spec-file", missing],
+        "norms --spec-file": ["norms", "--spec-file", missing],
+        "norms --output": ["norms", "--spec-file", str(spec), "--output", missing],
+        "qaoa --instance": qaoa_run + ["--instance", missing],
+        "qaoa --save-instance": qaoa_run + ["--n", "8", "--m", "10",
+                                            "--save-instance", missing],
+        "census --out": ["census", "--samples", "5", "--seed", "1", "--out", missing],
+        "figures --out": ["figures", "--which", "fig1", "--grid", "3", "--seed", "1",
+                          "--out", missing],
+    }[where]
+
+
+@pytest.mark.parametrize("where", [
+    "estimate --circuit", "verify --circuit", "estimate --output",
+    "classify-channel --spec-file", "norms --spec-file", "norms --output",
+    "qaoa --instance", "qaoa --save-instance", "census --out", "figures --out",
+])
+def test_missing_file_is_exit_6(tmp_path, capsys, where):
+    code = cli.main(_io_argv(tmp_path, where))
+    assert code == cli.EXIT_IO == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "io"
+    assert str(tmp_path / "nope" / "x.json") in err["error"]["message"]
+
+
+def _refuse_sampling(monkeypatch):
+    """Make every sampler the CLI calls fail the test if it is reached."""
+    def sampler(*args, **kwargs):
+        raise AssertionError("sampling started")
+    monkeypatch.setattr(cli, "estimate", sampler)
+    for name in ("state_census", "classification_census"):
+        monkeypatch.setattr(cli.magic, name, sampler)
+    monkeypatch.setattr(cli.qaoa, "run_experiment", sampler)
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--direction", "both"],
+    ["verify"],
+    ["qaoa", "--n", "8", "--m", "10", "--gamma", "0.3"],
+    ["census"],
+    ["figures", "--which", "fig2"],
+    ["figures", "--which", "fig5"],
+    ["figures", "--which", "fig6"],
+])
+def test_sample_count_over_the_cap_is_exit_7(tmp_path, capsys, monkeypatch, command):
+    _refuse_sampling(monkeypatch)
+    argv = command + ["--seed", "1"]
+    if command[0] in ("estimate", "verify"):
+        argv += ["--circuit", write_circuit(tmp_path, circuit_obj())]
+    if command[0] == "figures":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    code = cli.main(argv + ["--samples", str(cli.MAX_SAMPLES + 1)])
+    assert code == cli.EXIT_BUDGET == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "sample_budget"
+    assert str(cli.MAX_SAMPLES + 1) in err["error"]["message"]
+    assert not (tmp_path / "out.csv").exists()
+    # the cap itself is allowed
+    with pytest.raises(AssertionError, match="sampling started"):
+        cli.main(argv + ["--samples", str(cli.MAX_SAMPLES)])
+
+
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+def test_planned_sample_count_over_the_cap_is_exit_7(tmp_path, capsys, monkeypatch,
+                                                     command):
+    # planned counts are checked for both directions before either samples
+    path = write_circuit(tmp_path, circuit_obj())
+    circuit = cli.load_circuit(path)
+    planned = [cli.plan_samples(circuit, d, 1e-7, 0.01) for d in DIRECTIONS]
+    assert min(planned) > cli.MAX_SAMPLES  # the library plans past the cap
+    _refuse_sampling(monkeypatch)
+    code = cli.main([command, "--circuit", path, "--direction", "both",
+                     "--epsilon", "1e-7", "--seed", "1"])
+    assert code == 7
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "sample_budget"
+    assert str(planned[0]) in err["error"]["message"]
 
 
 def read_csv_lines(path):

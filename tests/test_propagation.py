@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 
@@ -651,6 +652,131 @@ def test_cached_tables_keep_their_direction_and_are_read_only():
             for table in (cum, mult, flips, *(s.mult for s in steps),
                           *(delta for s in steps for _, delta in s.flips)):
                 assert not table.flags.writeable
+
+
+def _embedded(matrix, qubits, union):
+    """matrix, a PTM on `qubits`, as the PTM on the qubits `union` (digit pos
+    of an index is qubit union[pos]'s) that leaves the other digits alone."""
+    places = [union.index(q) for q in qubits]
+    size = 4 ** len(union)
+    out = np.zeros((size, size))
+    for c in range(size):
+        rest = c
+        local = 0
+        for i, p in enumerate(places):
+            local |= ((c >> (2 * p)) & 3) << (2 * i)
+            rest &= ~(3 << (2 * p))
+        for r in range(4 ** len(qubits)):
+            row = rest
+            for i, p in enumerate(places):
+                row |= ((r >> (2 * i)) & 3) << (2 * p)
+            out[row, c] += matrix[r, local]
+    return out
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_clifford_runs_fuse_into_one_step(direction):
+    # runs in one word, in the upper word (up to qubit 63) and across the
+    # words (30..34); a rotation, depolarizing, the 6th qubit of a run and a
+    # measure_z each end a run
+    clifford = {name: make_clifford(name) for name in CLIFFORD_NAMES}
+    rotation, depolarizing, measure = make_rotation(0.7), make_depolarizing(0.6), \
+        make_measure_z()
+    runs = [
+        [("h", (3,)), ("cnot", (3, 5)), ("s", (5,)), ("cz", (7, 3))],
+        [(rotation, (5,))],
+        [("h", (63,)), ("cnot", (62, 63)), ("cz", (40, 63)), ("y", (41,))],
+        [(depolarizing, (41,))],
+        [("cnot", (31, 32)), ("h", (31,)), ("s", (32,)), ("cz", (30, 33)), ("x", (34,))],
+        [("cz", (35, 36)), ("h", (37,)), ("cnot", (38, 39)), ("s", (36,)),
+         ("cnot", (39, 35))],
+        [(measure, (36,))],
+        [("h", (0,)), ("cnot", (0, 1)), ("z", (1,))],
+    ]
+    runs = [[(clifford.get(ptm, ptm), qubits) for ptm, qubits in run] for run in runs]
+    state = FactoredState.of_qubit_states([zero_state()] * 64)
+    circ = Circuit(64, state, [ChannelApplication(ptm, q) for run in runs for ptm, q in run],
+                   state)
+    steps = compile_circuit(circ, direction).steps
+    if direction == "heisenberg":
+        runs = [run[::-1] for run in runs[::-1]]
+    assert [step.qubits for step in steps] == [
+        tuple(sorted({q for _, qubits in run for q in qubits})) for run in runs]
+    for step, run in zip(steps, runs):
+        if len(run) == 1:  # a run of one is the cached step itself
+            (ptm, qubits), = run
+            assert step is propagation._TABLES[ptm][direction, qubits]
+            continue
+        want = np.eye(4 ** len(step.qubits))
+        for ptm, qubits in run:
+            r = ptm.matrix if direction == "schrodinger" else ptm.matrix.T
+            want = _embedded(r, qubits, list(step.qubits)) @ want
+        assert step.m == 1 and not step.kills
+        np.testing.assert_array_equal(_decode_step(step), want)
+        assert not step.mult.flags.writeable
+        assert all(not delta.flags.writeable for _, delta in step.flips)
+    # a one-gate circuit compiles to the cached step
+    one = Circuit(64, state, [ChannelApplication(clifford["h"], (63,))], state)
+    (step,) = compile_circuit(one, direction).steps
+    assert step is propagation._TABLES[clifford["h"]][direction, (63,)]
+
+
+def _random_clifford_noise_circuit(n, rng):
+    """60 channels on 7 random qubits of n: Clifford gates, with depolarizing,
+    noisy T, rotations and a rare measure_z between them. Inputs and
+    observable factors have no zero Pauli coefficient, so lanes live on."""
+    active = [int(q) for q in rng.choice(n, size=7, replace=False)]
+    noisy = lambda: compose(make_depolarizing(rng.uniform(0.7, 0.95)),
+                            make_rotation(math.pi / 4))
+    apps = []
+    for _ in range(60):
+        kind = rng.random()
+        if kind < 0.25:
+            pair = tuple(int(q) for q in rng.choice(active, size=2, replace=False))
+            apps.append(ChannelApplication(make_clifford(("cnot", "cz")[rng.integers(2)]),
+                                           pair))
+            continue
+        q = (int(rng.choice(active)),)
+        if kind < 0.6:
+            ptm = make_clifford(("h", "s", "x", "y", "z")[rng.integers(5)])
+        elif kind < 0.8:
+            ptm = make_depolarizing(rng.uniform(0.7, 0.95))
+        elif kind < 0.9:
+            ptm = noisy()
+        elif kind < 0.98:
+            ptm = make_rotation(rng.uniform(0, 2 * math.pi))
+        else:
+            ptm = make_measure_z()
+        apps.append(ChannelApplication(ptm, q))
+    bloch = lambda: rng.choice([-1, 1], size=3) * rng.uniform(0.1, 0.25, size=3)
+    inp = FactoredState.of_qubit_states(
+        [DenseOperator.from_coeffs([0.5, *bloch()], 1) for _ in range(n)])
+    obs = FactoredState.of_qubit_states(
+        [DenseOperator.from_coeffs(rng.uniform(0.1, 0.5, size=4), 1) for _ in range(n)])
+    return Circuit(n, inp, apps, obs)
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_fused_walks_equal_step_by_step_walks(direction):
+    # a batch walked through the fused steps gives the same (sum, sum of
+    # squares), bit for bit, as one walked through the unfused cached steps
+    rng = np.random.default_rng(2101)
+    for n in (8, 33, 64):
+        for trial in range(4):
+            circ = _random_clifford_noise_circuit(n, rng)
+            compiled = compile_circuit(circ, direction)
+            apps = circ.channels if direction == "schrodinger" else circ.channels[::-1]
+            unfused = dataclasses.replace(compiled, steps=[
+                propagation._cached_step(
+                    app.ptm, direction,
+                    app.ptm.matrix if direction == "schrodinger" else app.ptm.matrix.T,
+                    app.qubits)
+                for app in apps])
+            assert len(compiled.steps) < len(unfused.steps)
+            fused = propagation._run_batch(compiled, 4096, np.random.default_rng(trial))
+            plain = propagation._run_batch(unfused, 4096, np.random.default_rng(trial))
+            assert fused == plain, (n, trial)
+            assert fused[1] > 0.0
 
 
 def test_table_cache_lets_its_ptms_go():
