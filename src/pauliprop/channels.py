@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import kraus_to_ptm
 from .operators import DenseOperator, pauli_basis
 
 CP_EIGENVALUE_TOL = 1e-8
@@ -199,8 +200,6 @@ def adaptive_norms(inner: PTM) -> tuple[float, float]:
 
 def make_unitary_ptm(u: np.ndarray) -> PTM:
     """PTM of conjugation by an explicit unitary (helper for tests/files)."""
-    from .exact import kraus_to_ptm
-
     u = np.asarray(u, dtype=complex)
     k = u.shape[0].bit_length() - 1
     return _validated(PTM(kraus_to_ptm([u], k)))

@@ -201,6 +201,8 @@ def _cmd_figures(args) -> int:
             raise ValueError(f"sample count must be at least 1, got {samples}")
         _budget(samples)
     if args.which == "fig1":
+        if args.grid < 1:
+            raise ValueError(f"--grid must be at least 1, got {args.grid}")
         header, rows = _fig1_rows(args.grid)
     elif args.which == "fig2":
         header, rows = _fig2_rows(samples, args.seed, args.workers)

@@ -1,12 +1,13 @@
-"""Exact oracle in Pauli space, plus dense Kraus tools.
+"""Exact oracle in Pauli space, plus the Kraus-to-PTM map.
 
 `run_exact` carries the input's Pauli trace table t_i = Tr(sigma_i rho), a
 (4,)*n tensor with axis q for qubit q, through each PTM as t -> R t on the
 channel's digit axes, and returns Tr(E rho) = 2^-n <t_E, t>. It shares the
 PTMs and the factors' trace tables with the propagation engine, but none of
 its compiled tables, lanes or sampling, so it can act as their
-oracle. Register cap n <= 8 (4^8 traces). The dense helpers work on 2^n x 2^n
-matrices; tests use them to check the oracle against a Kraus simulation.
+oracle. Register cap n <= 8 (4^8 traces). `kraus_to_ptm` builds the PTM of a
+Kraus set: `make_unitary_ptm` uses it, and the tests use it as the
+independent check of each channel constructor.
 """
 
 from __future__ import annotations
@@ -16,39 +17,10 @@ import numpy as np
 from .operators import coeffs_from_matrix, pauli_basis
 
 ORACLE_MAX_QUBITS = 8
-KRAUS_COMPLETENESS_TOL = 1e-8
 
 
 class OracleTooLargeError(Exception):
     """Raised when a circuit exceeds the oracle's register cap."""
-
-
-def embed_operator(op: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Embed a k-qubit operator on the listed qubits into the 2^n space.
-
-    qubits[pos] carries the operator's local qubit pos (its 2^pos bit).
-    """
-    k = len(qubits)
-    rest = [q for q in range(n) if q not in qubits]
-    low = np.kron(np.eye(2 ** (n - k), dtype=complex), op)
-    b = np.arange(2**n)
-    fmap = np.zeros(2**n, dtype=np.intp)
-    for pos, q in enumerate(list(qubits) + rest):
-        fmap |= ((b >> pos) & 1) << q
-    out = np.zeros_like(low)
-    out[fmap[:, None], fmap[None, :]] = low
-    return out
-
-
-def apply_kraus(ops, rho: np.ndarray) -> np.ndarray:
-    """sum_K K rho K^dag, after checking sum_K K^dag K <= I (postselective)."""
-    ops = [np.asarray(op, dtype=complex) for op in ops]
-    dim = ops[0].shape[0]
-    comp = sum(op.conj().T @ op for op in ops)
-    excess = float(np.linalg.eigvalsh(comp - np.eye(dim))[-1])
-    if excess > KRAUS_COMPLETENESS_TOL:
-        raise ValueError(f"Kraus set is trace-increasing by {excess:.2e}")
-    return sum(op @ rho @ op.conj().T for op in ops)
 
 
 def kraus_to_ptm(ops, k: int) -> np.ndarray:

@@ -34,10 +34,9 @@ from time import perf_counter
 import numpy as np
 
 from .channels import ChannelApplication, make_unitary_ptm
-from .exact import run_exact
 from .fanout import check_seed, fan_out, map_blocks
 from .operators import DenseOperator, FactoredState, plus_state
-from .propagation import Circuit, estimate, hoeffding_epsilon
+from .propagation import Circuit, estimate
 
 GENERATION_RESTARTS = 50
 ATTEMPTS_PER_EQUATION = 2000
@@ -168,26 +167,25 @@ def overlapping_equations(inst: E3Lin2Instance, term: int) -> list:
     ]
 
 
-def build_term_circuit(inst: E3Lin2Instance, params: QaoaParams, term: int,
-                       lightcone: bool = True) -> Circuit:
-    """Circuit whose observable is Z_a Z_b Z_c for one equation.
+def build_term_circuit(inst: E3Lin2Instance, params: QaoaParams, term: int) -> Circuit:
+    """Circuit whose observable is Z_a Z_b Z_c for one equation, cut to its
+    lightcone.
 
-    With lightcone=True, which the estimators always use, only the diagonal
-    rotations sharing a qubit with the term (and the mixer rotations on the
-    term's own qubits) are kept: rotations on disjoint triples commute with a
-    walk whose X/Y letters stay on the term's qubits, and the other mixers see
-    only I. The full circuit is the reference that shows this is exact.
+    Only the diagonal rotations sharing a qubit with the term (and the mixer
+    rotations on the term's own qubits) are kept: rotations on disjoint
+    triples commute with a walk whose X/Y letters stay on the term's qubits,
+    and the other mixers see only I. The tests build the uncut circuit (every
+    rotation, a mixer on every qubit) as the reference that shows this is
+    exact.
     """
     a, b, c, _ = inst.equations[term]
     channels = []
-    included = overlapping_equations(inst, term) if lightcone else range(inst.m)
-    for j in included:
+    for j in overlapping_equations(inst, term):
         qa, qb, qc, d = inst.equations[j]
         theta = params.gamma * (1.0 - 2.0 * d)
         channels.append(ChannelApplication(_zzz_rotation_ptm(theta), (qa, qb, qc)))
     mixer = _mixer_ptm(params.beta)
-    mixer_qubits = (a, b, c) if lightcone else range(inst.n)
-    for q in mixer_qubits:
+    for q in (a, b, c):
         channels.append(ChannelApplication(mixer, (q,)))
     obs = FactoredState.of_qubit_states(
         [_PAULI_Z if q in (a, b, c) else _IDENTITY for q in range(inst.n)]
@@ -247,15 +245,6 @@ def _term_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
     rep = estimate(build_term_circuit(inst, params, term), "heisenberg",
                    n_samples, delta=delta, seed=(*prefix, term))
     return rep.mean, rep.epsilon
-
-
-def exact_expectation(inst: E3Lin2Instance, params: QaoaParams) -> float:
-    """Dense-oracle <C>, term by term (n <= 8)."""
-    weights = term_weights(inst)
-    return float(sum(
-        weights[term] * run_exact(build_term_circuit(inst, params, term))
-        for term in range(inst.m)
-    ))
 
 
 def _conjugated_paulis(params: QaoaParams):

@@ -26,7 +26,7 @@ from pauliprop.channels import (
     postselection_probability,
     ptm_from_choi,
 )
-from pauliprop.exact import apply_kraus, kraus_to_ptm, run_exact
+from pauliprop.exact import kraus_to_ptm, run_exact
 from pauliprop.fanout import block_rng
 from pauliprop.magic import (
     CENSUS_BLOCK,
@@ -51,10 +51,11 @@ from pauliprop.operators import (
 from pauliprop.propagation import Circuit, cost_report, estimate, plan_samples
 from pauliprop.qaoa import (
     QaoaParams,
-    exact_expectation,
     generate_instance,
     run_experiment,
 )
+
+from dense import apply_kraus, exact_expectation
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

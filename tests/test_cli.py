@@ -262,6 +262,18 @@ def test_figures_zero_samples_is_exit_3(tmp_path, capsys, which):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_figures_grid_below_one_is_exit_3(tmp_path, capsys, grid):
+    out = tmp_path / "out.csv"
+    code = cli.main(["figures", "--which", "fig1", "--grid", grid, "--seed", "1",
+                     "--out", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert f"--grid must be at least 1, got {grid}" in err["error"]["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [str(-1), str(2**64)])
 def test_seed_out_of_range_is_exit_3(tmp_path, capsys, seed):
     path = write_circuit(tmp_path, circuit_obj())

@@ -6,13 +6,7 @@ import pytest
 from pauliprop.channels import PTM, ChannelApplication, compose, make_adaptive, \
     make_clifford, make_depolarizing, make_measure_z, make_reset, make_rotation, \
     make_unitary_ptm
-from pauliprop.exact import (
-    OracleTooLargeError,
-    apply_kraus,
-    embed_operator,
-    kraus_to_ptm,
-    run_exact,
-)
+from pauliprop.exact import OracleTooLargeError, kraus_to_ptm, run_exact
 from pauliprop.operators import (
     DenseOperator,
     FactoredState,
@@ -22,6 +16,8 @@ from pauliprop.operators import (
     zero_state,
 )
 from pauliprop.propagation import Circuit
+
+from dense import apply_kraus, embed_operator
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 

@@ -27,7 +27,6 @@ from pauliprop.channels import (
     make_unitary_ptm,
     ptm_from_choi,
 )
-from pauliprop.exact import embed_operator
 from pauliprop.magic import (
     CHANNEL_CATEGORIES,
     DUAL_DENOM,
@@ -57,6 +56,8 @@ from pauliprop.operators import (
     t_state,
     zero_state,
 )
+
+from dense import embed_operator
 
 
 def robustness_closed_form_1q(rho: DenseOperator) -> float:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pauliprop import operators as ops
-from pauliprop.exact import embed_operator
 from pauliprop.operators import (
     DenseOperator,
     FactoredState,
@@ -15,6 +14,8 @@ from pauliprop.operators import (
     stabilizer_norm_factored,
 )
 from pauliprop.propagation import Circuit, estimate
+
+from dense import embed_operator
 
 
 def random_hermitian(k, rng):

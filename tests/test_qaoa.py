@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from pauliprop import fanout, propagation, qaoa
-
-from pauliprop.propagation import cost_report, hoeffding_epsilon
+from pauliprop.channels import ChannelApplication, make_unitary_ptm
+from pauliprop.exact import run_exact
+from pauliprop.fanout import block_rng
+from pauliprop.operators import DenseOperator, FactoredState, pauli_matrix, plus_state
+from pauliprop.propagation import Circuit, cost_report, hoeffding_epsilon
 from pauliprop.qaoa import (
     E3Lin2Instance,
     QaoaParams,
@@ -15,7 +18,6 @@ from pauliprop.qaoa import (
     degree_cap,
     epsilon_heis,
     epsilon_nest,
-    exact_expectation,
     generate_instance,
     heisenberg_estimate,
     overlapping_equations,
@@ -23,8 +25,8 @@ from pauliprop.qaoa import (
     term_weights,
     vdn_estimate,
 )
-from pauliprop.exact import run_exact
-from pauliprop.fanout import block_rng
+
+from dense import exact_expectation
 
 
 def rng_for(seed):
@@ -108,13 +110,30 @@ def test_gamma_zero_full_mixer_kills_every_term():
     assert abs(vdn_estimate(inst, params, 4000, seed=2)) < 1e-12
 
 
-def test_lightcone_restriction_is_exact():
+def _uncut_term_circuit(inst, params, term):
+    """Term `term`'s observable after every ZZZ rotation and a mixer on every
+    qubit: the whole QAOA circuit, which build_term_circuit cuts down."""
+    mixer = make_unitary_ptm(math.cos(params.beta) * pauli_matrix(0, 1)
+                             - 1j * math.sin(params.beta) * pauli_matrix(1, 1))
+    rotation = {s: make_unitary_ptm(_zzz_rotation(params.gamma * s)) for s in (1.0, -1.0)}
+    channels = [ChannelApplication(rotation[s], eq[:3])
+                for eq, s in zip(inst.equations, inst.signs())]
+    channels += [ChannelApplication(mixer, (q,)) for q in range(inst.n)]
+    triple = inst.equations[term][:3]
+    obs = FactoredState.of_qubit_states(
+        [DenseOperator(pauli_matrix(3 if q in triple else 0, 1)) for q in range(inst.n)])
+    inp = FactoredState.of_qubit_states([plus_state()] * inst.n)
+    return Circuit(inst.n, inp, tuple(channels), obs)
+
+
+@pytest.mark.parametrize("term", range(10))
+@pytest.mark.parametrize("gamma,beta", [(math.pi / 8, math.pi / 4), (0.7, 0.3)])
+def test_lightcone_restriction_is_exact(gamma, beta, term):
     inst = generate_instance(8, 10, rng_for(5))
-    params = QaoaParams(gamma=math.pi / 8)
-    for term in (0, 4):
-        full = run_exact(build_term_circuit(inst, params, term, lightcone=False))
-        cone = run_exact(build_term_circuit(inst, params, term, lightcone=True))
-        assert abs(full - cone) < 1e-12
+    params = QaoaParams(gamma=gamma, beta=beta)
+    full = run_exact(_uncut_term_circuit(inst, params, term))
+    cone = run_exact(build_term_circuit(inst, params, term))
+    assert abs(full - cone) < 1e-12
 
 
 def test_epsilon_formulas():
