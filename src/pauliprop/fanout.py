@@ -56,8 +56,14 @@ _pool = None  # (size, ProcessPoolExecutor) shared by every map_blocks call
 
 def check_seed(seed: int | tuple) -> tuple:
     """The key prefix of seed, an int or a tuple of ints, as a tuple; raise
-    ValueError unless every element fits one 64-bit key word."""
+    ValueError unless every element is an integer (a Python or NumPy int,
+    not a bool) that fits one 64-bit key word."""
     prefix = seed if isinstance(seed, tuple) else (seed,)
+    for word in prefix:
+        # a float or a bool would draw the stream of the int it equals; the
+        # types with __index__ are those that operator.index takes
+        if isinstance(word, bool) or not hasattr(type(word), "__index__"):
+            raise ValueError(f"seed elements must be integers, got {word!r} in seed {seed!r}")
     if not all(0 <= word < SEED_LIMIT for word in prefix):
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return prefix

@@ -37,15 +37,18 @@ starts from. The finish contraction is a run of the same steps that flip
 nothing: a factor A is a deterministic step whose mult is its trace table
 Tr(sigma A), so a batch walks one list of steps from start to finish.
 
-Runs of Clifford gates are fused at compile time. A step with m = 1 and every
-mult exactly +-1 is a signed permutation of local codes, and two such steps
+Clifford gates are fused at compile time. A step with m = 1 and every mult
+exactly +-1 is a signed permutation of local codes, and two such steps
 compose into one on the union of their qubits: out = out2[out1] and
-mult = mult1 * mult2[out1]. Each run of consecutive such steps whose qubits
-number at most _FUSE_QUBITS becomes one step with 4^K entries per table; any
-other step (stochastic, noisy or killing) ends a run. The fused step draws
-nothing, and a coefficient times a product of +-1 is exactly the coefficient
-times each in turn, so every seeded output is bit-identical to the step by
-step walk. Cost bounds still come from the circuit's own channels.
+mult = mult1 * mult2[out1]. Each such step joins the nearest group of them
+that it can: it may move back past steps on other qubits, which commute with
+it, up to _FUSE_WINDOW groups, and a group holds at most _FUSE_QUBITS qubits,
+so 4^K entries per table. Any other step (stochastic, noisy or killing) stays
+in place, and no step moves past one that shares a qubit with it. The fused
+step draws nothing, the steps it moves past draw the same numbers as before,
+and a coefficient times a product of +-1 is exactly the coefficient times
+each in turn, so every seeded output is bit-identical to the step by step
+walk. Cost bounds still come from the circuit's own channels.
 
 Compiled steps are cached. A channel's tables are tabulated once per PTM
 object and direction (R or R^T), and a start factor's once per DenseOperator,
@@ -263,6 +266,7 @@ class _Step:
     mult: np.ndarray  # (columns * m,) the entry, or sign * column L1 norm if m > 1
     flips: tuple      # (word, (columns * m,) uint64 bits to XOR) per word it changes
     kills: bool       # some column is dead, so a batch can die here
+    permutes: bool    # m = 1 and every mult exactly +-1: a signed permutation
 
 
 _FINISH_BLOCK_QUBITS = 8
@@ -270,6 +274,10 @@ _FINISH_BLOCK_QUBITS = 8
 _FINISH_CACHE_SIZE = 4
 # a fused channel step has 4^5 entries per table, built afresh per compile
 _FUSE_QUBITS = 5
+# how many groups back a Clifford step may join one: without a bound, long
+# circuits fuse better than short ones and the steps walked are not
+# proportional to depth
+_FUSE_WINDOW = 8
 
 
 # PTM or DenseOperator -> {direction or "start": its _tabulate table, and
@@ -321,24 +329,46 @@ def _compile_steps(circuit: Circuit, direction: str) -> list:
     else:
         steps = [_cached_step(app.ptm, direction, app.ptm.matrix.T, app.qubits)
                  for app in reversed(circuit.channels)]
-    return _fuse_runs(steps)
+    return _fuse_groups(steps)
 
 
-def _fuse_runs(steps: list) -> list:
-    """steps with each run of consecutive signed-permutation steps (m = 1,
-    every mult exactly +-1) on at most _FUSE_QUBITS qubits in all fused into
-    one step. Any other step ends a run; a run of one keeps its step."""
-    runs = []  # (the run's qubits, or None for a step that no run takes; its steps)
+def _fuse_groups(steps: list) -> list:
+    """steps with each signed-permutation step fused into the nearest group of
+    them that it can join. Such a step looks back from the last group that
+    shares a qubit with it, and at most _FUSE_WINDOW groups; it joins the
+    signed-permutation group whose qubits it grows least (the earliest on a
+    tie) while they number at most _FUSE_QUBITS, or else opens a group. It
+    moves only past groups on other qubits, which commute with it. Any other
+    step is a group of its own; a group of one keeps its step."""
+    groups = []  # (qubits, whether it takes signed-permutation steps, its steps)
     for st in steps:
-        if not (st.m == 1 and np.all(np.abs(st.mult) == 1.0)):
-            runs.append((None, [st]))
-        elif runs and runs[-1][0] is not None and \
-                len(runs[-1][0].union(st.qubits)) <= _FUSE_QUBITS:
-            runs[-1][0].update(st.qubits)
-            runs[-1][1].append(st)
+        qubits = set(st.qubits)
+        best, growth = None, math.inf
+        # any other step looks at no group
+        first = max(len(groups) - _FUSE_WINDOW, 0) if st.permutes else len(groups)
+        for i in reversed(range(first, len(groups))):
+            group, fuses, _ = groups[i]
+            new = len(qubits - group)
+            if fuses and new <= growth and len(group) + new <= _FUSE_QUBITS:
+                best, growth = i, new
+            if new < len(qubits):  # the group shares a qubit with st
+                break
+        if best is None:
+            groups.append((qubits, st.permutes, [st]))
         else:
-            runs.append((set(st.qubits), [st]))
-    return [run[0] if len(run) == 1 else _fused(run, sorted(qubits)) for qubits, run in runs]
+            groups[best][0].update(qubits)
+            groups[best][2].append(st)
+    return [group[0] if len(group) == 1 else _fused(group, sorted(qubits))
+            for qubits, _, group in groups]
+
+
+@lru_cache(maxsize=_FUSE_QUBITS)
+def _code_digits(k: int) -> np.ndarray:
+    """(k, 4^k) uint64: row pos holds digit pos of every local code of k qubits."""
+    codes = np.arange(4**k, dtype=np.uint64)
+    digits = (codes >> np.uint64(2) * np.arange(k, dtype=np.uint64)[:, None]) & np.uint64(3)
+    digits.setflags(write=False)
+    return digits
 
 
 def _fused(run: list, qubits: list) -> _Step:
@@ -346,14 +376,16 @@ def _fused(run: list, qubits: list) -> _Step:
     put in lane words and walked through the run's steps, which compose as
     out = out2[out1], mult = mult1 * mult2[out1]. The products of +-1 are
     exact, so a lane's coefficient ends bit for bit as it does step by step."""
-    codes = np.arange(4 ** len(qubits))
-    start = np.zeros((-(-ENGINE_MAX_QUBITS // _WORD_QUBITS), len(codes)), dtype=np.uint64)
-    for word, delta in _spread(codes, qubits):
-        start[word] = delta
+    digits = _code_digits(len(qubits))
+    size = digits.shape[1]
+    start = np.zeros((-(-ENGINE_MAX_QUBITS // _WORD_QUBITS), size), dtype=np.uint64)
+    for pos, q in enumerate(qubits):
+        word, bit = _word_bit(q)
+        start[word] |= digits[pos] << np.uint64(bit)
     words = start.copy()
     lanes = words.view(np.int64)
-    code, tmp = np.empty_like(codes), np.empty_like(codes)
-    mult = np.ones(len(codes))
+    code, tmp = np.empty((2, size), dtype=np.intp)
+    mult = np.ones(size)
     for st in run:
         _gather_code(lanes, st.gather, code, tmp)
         mult *= st.mult[code]
@@ -362,10 +394,10 @@ def _fused(run: list, qubits: list) -> _Step:
     words ^= start  # the bits each code's walk flipped
     # copies, so that a step on one word does not keep the other word's row
     flips = tuple((word, delta.copy()) for word, delta in enumerate(words) if delta.any())
-    cum = np.ones((0, len(codes)))
+    cum = np.ones((0, size))
     for a in (cum, mult, *(delta for _, delta in flips)):
         a.setflags(write=False)
-    return _Step(tuple(qubits), _gather_plan(qubits), 1, cum, mult, flips, False)
+    return _Step(tuple(qubits), _gather_plan(qubits), 1, cum, mult, flips, False, True)
 
 
 def _tabulate(r: np.ndarray) -> tuple:
@@ -401,13 +433,13 @@ def _tabulate(r: np.ndarray) -> tuple:
 def _place(table: tuple, qubits) -> _Step:
     m, cum, mult, flips = table
     return _Step(tuple(qubits), _gather_plan(qubits), m, cum, mult, _spread(flips, qubits),
-                 not mult.all())
+                 not mult.all(), m == 1 and bool(np.all(np.abs(mult) == 1.0)))
 
 
 def _finish_step(qubits, mult: np.ndarray) -> _Step:
     """The step that multiplies by a finish table."""
     return _Step(tuple(qubits), _gather_plan(qubits), 1, np.ones((0, len(mult))), mult,
-                 (), not mult.all())
+                 (), not mult.all(), False)
 
 
 @lru_cache(maxsize=_FINISH_CACHE_SIZE)

@@ -1,5 +1,5 @@
 """End-to-end acceptance checks for the estimator, the norm machinery and the
-census/QAOA harnesses. Each test prints exactly one verdict line so the nine
+census/QAOA harnesses. Each test prints exactly one verdict line so the
 checks can be scraped from a log independently of the pytest summary."""
 
 import math
@@ -48,7 +48,7 @@ from pauliprop.operators import (
     t_state,
     zero_state,
 )
-from pauliprop.propagation import Circuit, cost_report, estimate, plan_samples
+from pauliprop.propagation import Circuit, compile_circuit, cost_report, estimate, plan_samples
 from pauliprop.qaoa import (
     QaoaParams,
     generate_instance,
@@ -58,7 +58,7 @@ from pauliprop.qaoa import (
 from dense import apply_kraus, exact_expectation
 
 
-def _verdict(num: int, ok: bool, detail: str) -> None:
+def _verdict(num: int | str, ok: bool, detail: str) -> None:
     word = "PASS" if ok else "FAIL"
     print(f"acceptance {num}: {word} ({detail})", flush=True)
     assert ok, f"acceptance {num}: {detail}"
@@ -313,6 +313,24 @@ def test_acceptance_5_clifford_fast_path():
     ok = zero_variance and base_wall < 30.0 and 0.85 <= slope <= 1.15
     _verdict(5, ok, f"sample std {rep.sample_std}, 1e6 samples at k=100 in "
                     f"{base_wall:.2f}s, depth-scaling exponent {slope:.3f}")
+
+
+def test_acceptance_5_step_work_is_linear_in_depth():
+    """Acceptance 5's depth scaling without the host's timing noise: on its
+    own circuits, the array passes a batch makes per walk (a gather term
+    each, the mult, a flip row per word, a cum row per extra slot) grow
+    linearly with gate count."""
+    rng = np.random.default_rng(7)
+    circuits = {k: _random_clifford_circuit(32, k, rng) for k in (100, 200, 400)}
+    work = {}
+    for k, circuit in circuits.items():
+        compiled = compile_circuit(circuit, "heisenberg")
+        work[k] = sum(len(st.gather) + 1 + len(st.flips) + (st.m - 1)
+                      for st in compiled.start + compiled.steps + compiled.finish)
+    slope = math.log(work[400] / work[100]) / math.log(4)
+    _verdict("5b", 0.9 <= slope <= 1.1,
+             f"array passes {work[100]}/{work[200]}/{work[400]} at k=100/200/400, "
+             f"depth-scaling exponent {slope:.3f}")
 
 
 @pytest.mark.slow

@@ -2,6 +2,7 @@
 
 import logging
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -69,6 +70,25 @@ def test_fan_out_rejects_bad_workers_and_seeds(kwargs):
     args = {"seed": 0, "workers": 1, **kwargs}
     with pytest.raises(ValueError, match="workers|seed"):
         fan_out(_draws, (), 10, 4, args["seed"], args["workers"])
+
+
+@pytest.mark.parametrize("seed, bad", [(s, s) for s in (1.5, 2.0, np.float64(1.0), True, np.True_,
+                                                          "3")]
+                         + [((1, 0.5), 0.5), ((False, 0), False)])
+def test_non_integer_seed_elements_are_refused(seed, bad):
+    # 1.5 and True would draw exactly the stream of the int 1
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))} in seed"):
+        fanout.check_seed(seed)
+    with pytest.raises(ValueError, match="seed elements must be integers"):
+        fan_out(_draws, (), 10, 4, seed, 1)
+    with pytest.raises(ValueError, match="seed elements must be integers"):
+        estimate(_noisy_circuit(), "heisenberg", 10, seed=seed)
+
+
+def test_numpy_integer_seeds_draw_the_int_streams():
+    for seed in (np.int64(7), np.uint64(7), np.int32(7)):
+        assert fanout.check_seed((seed, np.uint8(1))) == (seed, np.uint8(1))
+        assert block_rng(seed, np.uint8(1)).random() == block_rng(7, 1).random()
 
 
 def test_fan_out_rejects_negative_counts():

@@ -676,30 +676,41 @@ def _embedded(matrix, qubits, union):
 
 @pytest.mark.parametrize("direction", DIRECTIONS)
 def test_clifford_runs_fuse_into_one_step(direction):
-    # runs in one word, in the upper word (up to qubit 63) and across the
-    # words (30..34); a rotation, depolarizing, the 6th qubit of a run and a
-    # measure_z each end a run
+    # Clifford gates in one word, in the upper word (up to qubit 63) and across
+    # the words (30..34), between a rotation, depolarizing and a measure_z.
+    # Each joins the nearest group of Clifford gates it can, moving back only
+    # past steps on other qubits, while the group has at most 5 qubits
     clifford = {name: make_clifford(name) for name in CLIFFORD_NAMES}
     rotation, depolarizing, measure = make_rotation(0.7), make_depolarizing(0.6), \
         make_measure_z()
-    runs = [
-        [("h", (3,)), ("cnot", (3, 5)), ("s", (5,)), ("cz", (7, 3))],
-        [(rotation, (5,))],
-        [("h", (63,)), ("cnot", (62, 63)), ("cz", (40, 63)), ("y", (41,))],
-        [(depolarizing, (41,))],
-        [("cnot", (31, 32)), ("h", (31,)), ("s", (32,)), ("cz", (30, 33)), ("x", (34,))],
-        [("cz", (35, 36)), ("h", (37,)), ("cnot", (38, 39)), ("s", (36,)),
-         ("cnot", (39, 35))],
-        [(measure, (36,))],
-        [("h", (0,)), ("cnot", (0, 1)), ("z", (1,))],
+    gates = [
+        ("h", (3,)), ("cnot", (3, 5)), ("s", (5,)), ("cz", (7, 3)),             # 0-3
+        (rotation, (5,)),                                                       # 4
+        ("h", (63,)), ("cnot", (62, 63)), ("cz", (40, 63)), ("y", (41,)),       # 5-8
+        (depolarizing, (41,)),                                                  # 9
+        ("cnot", (31, 32)), ("h", (31,)), ("s", (32,)), ("cz", (30, 33)),       # 10-13
+        ("x", (34,)),                                                           # 14
+        ("cz", (35, 36)), ("h", (37,)), ("cnot", (38, 39)), ("s", (36,)),       # 15-18
+        ("cnot", (39, 35)),                                                     # 19
+        (measure, (36,)),                                                       # 20
+        ("h", (0,)), ("cnot", (0, 1)), ("z", (1,)),                             # 21-23
     ]
-    runs = [[(clifford.get(ptm, ptm), qubits) for ptm, qubits in run] for run in runs]
+    gates = [(clifford.get(ptm, ptm), qubits) for ptm, qubits in gates]
+    # the gates of each step in walk order. Forward, h(63) and cnot(62, 63)
+    # pass the rotation on 5 into the first group, h(37) opens a group for a
+    # sixth qubit, and h(0) passes the measure_z on 36; backward, cnot(39, 35)
+    # and cnot(38, 39) pass the measure_z into the first group, on {0, 1}
+    groups = {
+        "schrodinger": [[0, 1, 2, 3, 5, 6], [4], [7, 8, 10, 11, 12], [9],
+                        [13, 14, 15, 18], [16, 17, 19, 21], [20], [22, 23]],
+        "heisenberg": [[23, 22, 21, 19, 17], [20], [18, 16, 15, 14, 12], [13, 11, 10],
+                       [9], [8, 7, 6, 5], [4], [3, 2, 1, 0]],
+    }[direction]
+    assert sorted(i for group in groups for i in group) == list(range(len(gates)))
+    runs = [[gates[i] for i in group] for group in groups]
     state = FactoredState.of_qubit_states([zero_state()] * 64)
-    circ = Circuit(64, state, [ChannelApplication(ptm, q) for run in runs for ptm, q in run],
-                   state)
+    circ = Circuit(64, state, [ChannelApplication(ptm, q) for ptm, q in gates], state)
     steps = compile_circuit(circ, direction).steps
-    if direction == "heisenberg":
-        runs = [run[::-1] for run in runs[::-1]]
     assert [step.qubits for step in steps] == [
         tuple(sorted({q for _, qubits in run for q in qubits})) for run in runs]
     for step, run in zip(steps, runs):
@@ -719,6 +730,56 @@ def test_clifford_runs_fuse_into_one_step(direction):
     one = Circuit(64, state, [ChannelApplication(clifford["h"], (63,))], state)
     (step,) = compile_circuit(one, direction).steps
     assert step is propagation._TABLES[clifford["h"]][direction, (63,)]
+
+
+def _walk_groups(gates, direction):
+    """The qubits of each compiled step of a 9-qubit circuit whose walk meets
+    `gates` in the order given, in either direction."""
+    state = FactoredState.of_qubit_states([zero_state()] * 9)
+    apps = [ChannelApplication(ptm, q) for ptm, q in gates]
+    circ = Circuit(9, state, apps if direction == "schrodinger" else apps[::-1], state)
+    return [step.qubits for step in compile_circuit(circ, direction).steps]
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+@pytest.mark.parametrize("between", [make_rotation(0.7), make_measure_z()],
+                         ids=["rotation", "measure_z"])
+def test_clifford_gates_hop_back_only_past_other_qubits(direction, between):
+    h, cnot = make_clifford("h"), make_clifford("cnot")
+    # h(0) passes the step on 1 into the group of cnot(0, 2)
+    assert _walk_groups([(cnot, (0, 2)), (between, (1,)), (h, (0,))], direction) == \
+        [(0, 2), (1,)]
+    assert _walk_groups([(cnot, (0, 2)), (between, (1,)), (h, (3,))], direction) == \
+        [(0, 2, 3), (1,)]
+    # a gate on a qubit of the step between them never passes it; one on the
+    # group's other qubit does
+    assert _walk_groups([(cnot, (0, 2)), (between, (0,)), (h, (0,))], direction) == \
+        [(0, 2), (0,), (0,)]
+    assert _walk_groups([(cnot, (0, 2)), (between, (0,)), (h, (2,))], direction) == \
+        [(0, 2), (0,)]
+    assert _walk_groups([(cnot, (0, 2)), (between, (1,)), (cnot, (1, 0))], direction) == \
+        [(0, 2), (1,), (1, 0)]
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_clifford_gates_join_the_group_they_grow_least(direction):
+    h, cnot = make_clifford("h"), make_clifford("cnot")
+    # cnot(4, 5) would make six qubits, so it opens a group; h(0) grows the
+    # first group by nothing, h(6) ties and takes the earlier group, and h(7)
+    # finds that one full
+    gates = [(cnot, (0, 1)), (cnot, (2, 3)), (cnot, (4, 5)), (h, (0,)), (h, (6,)), (h, (7,))]
+    assert _walk_groups(gates, direction) == [(0, 1, 2, 3, 6), (4, 5, 7)]
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_clifford_gates_join_no_group_past_the_window(direction):
+    h, rotation = make_clifford("h"), make_rotation(0.7)
+    window = propagation._FUSE_WINDOW
+    # h(2) joins h(0) across window - 1 groups, but not across window groups
+    gates = [(h, (0,))] + [(rotation, (1,))] * (window - 1) + [(h, (2,))]
+    assert _walk_groups(gates, direction) == [(0, 2)] + [(1,)] * (window - 1)
+    gates = [(h, (0,))] + [(rotation, (1,))] * window + [(h, (2,))]
+    assert _walk_groups(gates, direction) == [(0,)] + [(1,)] * window + [(2,)]
 
 
 def _random_clifford_noise_circuit(n, rng):
@@ -773,6 +834,64 @@ def test_fused_walks_equal_step_by_step_walks(direction):
                     app.qubits)
                 for app in apps])
             assert len(compiled.steps) < len(unfused.steps)
+            fused = propagation._run_batch(compiled, 4096, np.random.default_rng(trial))
+            plain = propagation._run_batch(unfused, 4096, np.random.default_rng(trial))
+            assert fused == plain, (n, trial)
+            assert fused[1] > 0.0
+
+
+def _deep_clifford_circuit(n, rng):
+    """400 channels on n qubits: acceptance 5's Clifford mix, with 3
+    depolarizing, 3 noisy T and 2 measure_z steps at random places on random
+    qubits. Inputs and observable factors have no zero Pauli coefficient."""
+    apps = []
+    for _ in range(400):
+        if rng.random() < 0.3:
+            gate = ("cnot", "cz")[rng.integers(2)]
+            qubits = tuple(int(q) for q in rng.choice(n, size=2, replace=False))
+        else:
+            gate = ("h", "s", "x", "y", "z")[rng.integers(5)]
+            qubits = (int(rng.integers(n)),)
+        apps.append(ChannelApplication(make_clifford(gate), qubits))
+    noisy = [make_depolarizing(0.8)] * 3 + \
+        [compose(make_depolarizing(0.9), make_rotation(math.pi / 4))] * 3 + [make_measure_z()] * 2
+    for ptm, at in zip(noisy, rng.choice(400, size=len(noisy), replace=False)):
+        apps[at] = ChannelApplication(ptm, (int(rng.integers(n)),))
+    bloch = lambda: rng.choice([-1, 1], size=3) * rng.uniform(0.1, 0.25, size=3)
+    inp = FactoredState.of_qubit_states(
+        [DenseOperator.from_coeffs([0.5, *bloch()], 1) for _ in range(n)])
+    obs = FactoredState.of_qubit_states(
+        [DenseOperator.from_coeffs(rng.uniform(0.1, 0.5, size=4), 1) for _ in range(n)])
+    return Circuit(n, inp, apps, obs)
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_groups_fused_out_of_order_walk_equal_to_step_by_step(direction, monkeypatch):
+    # as above, on deep circuits where Clifford gates move back past steps on
+    # other qubits to join a group
+    runs = []
+    real_fused = propagation._fused
+    monkeypatch.setattr(propagation, "_fused",
+                        lambda run, qubits: runs.append(run) or real_fused(run, qubits))
+    rng = np.random.default_rng(2401)
+    for n in (32, 64):
+        for trial in range(2):
+            circ = _deep_clifford_circuit(n, rng)
+            runs.clear()
+            compiled = compile_circuit(circ, direction)
+            apps = circ.channels if direction == "schrodinger" else circ.channels[::-1]
+            plain_steps = [
+                propagation._cached_step(
+                    app.ptm, direction,
+                    app.ptm.matrix if direction == "schrodinger" else app.ptm.matrix.T,
+                    app.qubits)
+                for app in apps]
+            unfused = dataclasses.replace(compiled, steps=plain_steps)
+            # some fused group is no slice of the walk: it took a step out of order
+            walk = [id(st) for st in plain_steps]
+            assert any(all(walk[i:i + len(run)] != [id(st) for st in run]
+                           for i in range(len(walk)))
+                       for run in runs), (n, trial)
             fused = propagation._run_batch(compiled, 4096, np.random.default_rng(trial))
             plain = propagation._run_batch(unfused, 4096, np.random.default_rng(trial))
             assert fused == plain, (n, trial)
