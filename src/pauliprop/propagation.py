@@ -276,8 +276,10 @@ _FINISH_CACHE_SIZE = 4
 _FUSE_QUBITS = 5
 # how many groups back a Clifford step may join one: without a bound, long
 # circuits fuse better than short ones and the steps walked are not
-# proportional to depth
-_FUSE_WINDOW = 8
+# proportional to depth. A wider window walks fewer steps (about 52 at 8
+# against 69 at 4 for 400 random gates on 32 qubits), but their number then
+# varies more from one random circuit to the next
+_FUSE_WINDOW = 4
 
 
 # PTM or DenseOperator -> {direction or "start": its _tabulate table, and
