@@ -60,13 +60,18 @@ def check_seed(seed: int | tuple) -> tuple:
     not a bool) that fits one 64-bit key word."""
     prefix = seed if isinstance(seed, tuple) else (seed,)
     for word in prefix:
-        # a float or a bool would draw the stream of the int it equals; the
-        # types with __index__ are those that operator.index takes
-        if isinstance(word, bool) or not hasattr(type(word), "__index__"):
+        # a float or a bool would draw the stream of the int it equals
+        if not is_integer(word):
             raise ValueError(f"seed elements must be integers, got {word!r} in seed {seed!r}")
     if not all(0 <= word < SEED_LIMIT for word in prefix):
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return prefix
+
+
+def is_integer(value) -> bool:
+    """Whether value is a Python or NumPy int and not a bool: the types with
+    __index__ are those that operator.index takes."""
+    return not isinstance(value, bool) and hasattr(type(value), "__index__")
 
 
 def block_rng(seed: int, *path: int) -> np.random.Generator:
@@ -89,8 +94,8 @@ def map_blocks(fn, args: tuple, n_blocks: int, workers: int) -> list:
     is used; otherwise fn and args are pickled, so fn must be a module-level
     function. Call it from one thread at a time.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if not is_integer(workers) or workers < 1:
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     workers = min(workers, n_blocks, usable_cpus())
     if workers < 2:
         return [fn(*args, b) for b in range(n_blocks)]

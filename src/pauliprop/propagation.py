@@ -20,22 +20,30 @@ PTM digit (I, X, Y, Z = 0..3) per qubit, 2 bits each: qubit q's digit is bits
 2 (q mod 32) and 2 (q mod 32) + 1 of word q // 32. A register of up to 32
 qubits takes one word per lane; the engine register cap, n <= 64, two.
 
-Compiled steps are tables indexed by PTM index. A step on qubits
-(q_0, ..., q_{k-1}) reads the local code c of each lane, the PTM index whose
-base-4 digit pos is qubit q_pos's digit, with one shift and mask per run of
-adjacent qubits. It stores flat tables mult and, per word it touches, delta: the
-signed multiplier and the bits the step flips. A deterministic step (every
-column has at most one output) is then
+Compiled steps are flat tables. A step on qubits (q_0, ..., q_{k-1}) acts on
+the local code of each lane, the PTM index whose base-4 digit pos is qubit
+q_pos's digit, and reads its tables at an index c, a one-to-one map of that
+code onto [0, 4^k): the OR of terms ((word & mask) * mult mod 2^64) >> shift.
+A step within one word of at most 5 qubits takes one term, whose multiply
+carries its runs of adjacent qubits to the top 2k bits of the product (the
+multiply gather of Warren, Hacker's Delight, 2nd ed., sec. 7-4), and its tables
+are laid out in that index order. A step that spans both words, or one whose
+runs no order carries into a provably one-to-one index, takes one term per
+run, a shift or a multiply by 2^s, and its index is the local code itself.
+A step stores flat tables mult and, per word it touches, delta: the signed
+multiplier and the bits the step flips. A deterministic step (every column
+has at most one output) is then
 
     coeff *= mult[c];  word ^= delta[c]
 
 and a stochastic step with at most m outputs per column draws u ~ U[0, 1),
 takes slot = #{t : u >= cum[t, c]} and indexes the same tables at c * m + slot.
 The start operator is drawn by the same steps: each factor A = sum_i a_i sigma_i
-is a step with one column, (a_i), read at the identity code that every lane
-starts from. The finish contraction is a run of the same steps that flip
-nothing: a factor A is a deterministic step whose mult is its trace table
-Tr(sigma A), so a batch walks one list of steps from start to finish.
+is a step with one column, (a_i), read at index 0, that of the identity code
+that every lane starts from. The finish contraction is a run of the same
+steps that flip nothing: a factor A is a deterministic step whose mult is its
+trace table Tr(sigma A), so a batch walks one list of steps from start to
+finish.
 
 Clifford gates are fused at compile time. A step with m = 1 and every mult
 exactly +-1 is a signed permutation of local codes, and two such steps
@@ -54,8 +62,11 @@ Compiled steps are cached. A channel's tables are tabulated once per PTM
 object and direction (R or R^T), and a start factor's once per DenseOperator,
 then placed once per qubit tuple; all of it lives as long as that object does,
 for the cache holds it weakly. A fused run of 1-qubit finish factors is keyed
-on its trace tables' bytes, in a small LRU. Fused channel steps are built
-afresh by each compile. Every cached or compiled array is read-only.
+on its trace tables' bytes, in a small LRU, and so is each qubit tuple's
+gather plan. Fused channel steps are built afresh by each compile. Every
+cached or compiled array is read-only. A batch's own arrays are kept on the
+compiled circuit, so the batches of one estimate reuse them, and they go with
+it.
 
 Sampling streams: the samples are cut into batches of BATCH_SIZE, and batch b
 draws from the stream fanout.block_rng(seed, b), or (*seed, b) for a tuple
@@ -69,13 +80,14 @@ from __future__ import annotations
 import math
 import time
 import weakref
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
 from .channels import ChannelApplication, channel_norm, adjoint_norm
-from .fanout import fan_out
+from .fanout import fan_out, is_integer
 from .operators import FactoredState, stabilizer_norm_factored
 
 ENGINE_MAX_QUBITS = 64
@@ -195,15 +207,22 @@ def plan_samples(circuit: Circuit, direction: str, epsilon_target: float, delta:
 
 
 # ---------------------------------------------------------------------------
-# compiled form of a circuit: flat tables indexed by local PTM index
+# compiled form of a circuit: flat tables read at a one-to-one index of the
+# local code
 #
-# A step on qubits (q_0, ..., q_{k-1}) reads the local code c of a lane, whose
+# A step on qubits (q_0, ..., q_{k-1}) acts on the local code of a lane, whose
 # bits 2 pos and 2 pos + 1 hold qubit q_pos's digit (I, X, Y, Z = 0..3, first
-# qubit least significant). That is the PTM's own index, so every table keeps
-# the PTM's column order.
+# qubit least significant). That is the PTM's own index. A step read by one
+# term per run reads it as is, so its tables keep the PTM's column order; a
+# step read by one multiply reads another one-to-one index, and its tables
+# are laid out in that order.
 
 _ENTRY_TOL = 1e-12
 _WORD_QUBITS = 32
+# a fused channel step has 4^5 entries per table, built afresh per compile
+_FUSE_QUBITS = 5
+# gather plans kept, each with at most 4^_FUSE_QUBITS uint16 index entries
+_PLAN_CACHE_SIZE = 256
 
 
 def _word_bit(q: int) -> tuple:
@@ -224,31 +243,117 @@ def _spread(codes: np.ndarray, qubits) -> tuple:
     return tuple((word, d) for word, d in sorted(deltas.items()) if d.any())
 
 
-def _gather_plan(qubits) -> tuple:
-    """(word, shift, mask) terms whose OR is the local code: a run of adjacent
-    qubits in ascending order, within one word, shares one shift."""
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _gather_plan(qubits: tuple) -> tuple:
+    """(terms, codes) of a step: terms (word, mask, mult, shift) whose OR of
+    ((word & mask) * mult mod 2^64) >> shift is a lane's table index, and
+    codes[i] the local code read at index i, or None where that is i itself.
+
+    A step of at most _FUSE_QUBITS qubits in one word, whose digits are not
+    one run in qubit order, is read by one multiply that carries its runs of
+    adjacent qubits to the top 2k bits of the product (see _fields); the
+    tables are then laid out in that index order. Any other step, or one with
+    no such run order, keeps one term per run whose OR is the local code
+    itself, with multiplier 1, or 2^s for a left shift by s."""
+    k = len(qubits)
     terms = {}
     for pos, q in enumerate(qubits):
         word, bit = _word_bit(q)
         key = (word, bit - 2 * pos)
         terms[key] = terms.get(key, 0) | (3 << (2 * pos))
-    return tuple((word, shift, mask) for (word, shift), mask in terms.items())
+    words = {word for word, _ in terms}
+    if len(terms) > 1 and k <= _FUSE_QUBITS and len(words) == 1:
+        top = 2 * _WORD_QUBITS - 2 * k
+        fields = _fields(qubits, top)
+        if fields is not None:
+            term = (words.pop(), sum(((1 << width) - 1) << bit for bit, width, _ in fields),
+                    sum(1 << (target - bit) for bit, _, target in fields), top)
+            # the index of every local code: its placed digits times mult, the top bits
+            places = np.array([1 << _word_bit(q)[1] for q in qubits], dtype=np.uint64)
+            index = (places @ _code_digits(k)) * np.uint64(term[2]) >> np.uint64(top)
+            identity = np.arange(4**k)
+            if np.array_equal(index, identity):
+                return (term,), None
+            codes = np.empty(4**k, dtype=np.uint16)
+            codes[index.view(np.intp)] = identity
+            codes.setflags(write=False)
+            return (term,), codes
+    return tuple((word, mask << shift, 1, shift) if shift >= 0 else
+                 (word, mask >> -shift, 1 << -shift, 0)
+                 for (word, shift), mask in terms.items()), None
 
 
-def _gather_code(lanes: np.ndarray, plan: tuple, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Local codes of a batch into `out`; lanes = the words viewed as int64."""
-    for i, (word, shift, mask) in enumerate(plan):
-        dst = out if i == 0 else tmp
-        if shift > 0:
-            np.right_shift(lanes[word], shift, out=dst)
-            np.bitwise_and(dst, mask, out=dst)
+def _fields(qubits, top: int):
+    """Fields (bit, width, target) that move each run of adjacent qubits, at
+    bits bit .. bit + width - 1 of their one word, to bits target ..
+    target + width - 1, stacked from bit `top` up in the first run order under
+    which one multiply reads a one-to-one index; None if no order does."""
+    runs = []  # [bit, width] in lane order
+    for q in sorted(qubits):
+        bit = _word_bit(q)[1]
+        if runs and sum(runs[-1]) == bit:
+            runs[-1][1] += 2
         else:
-            # mask first, so that no set bit is shifted past the sign bit
-            np.bitwise_and(lanes[word], mask >> -shift, out=dst)
-            if shift:
-                np.left_shift(dst, -shift, out=dst)
+            runs.append([bit, 2])
+    for order in permutations(runs):
+        fields, target = [], top
+        for bit, width in order:
+            if bit > target:
+                break
+            fields.append((bit, width, target))
+            target += width
+        else:
+            if _one_to_one(fields, top):
+                return fields
+    return None
+
+
+def _one_to_one(fields, top: int) -> bool:
+    """Whether the product of the fields' multiply, read from bit `top` up,
+    is one-to-one in the runs' bits.
+
+    The product is the sum over pairs of run r moved by run s's offset.
+    Moved by its own offset, r fills its field. Moved by another, it must
+    land past bit 63, where it drops out; at or past the top of its own field,
+    where it adds to higher fields alone; or wholly below bit `top`, and
+    there all such terms together must stay under 2^top, so that they carry
+    nothing into the index. Then the fields can be read off from the lowest
+    up, each less what lower fields added to it, so no two lanes share an
+    index."""
+    low = 0
+    for bit, _, target in fields:
+        offset = target - bit
+        for b, width, t in fields:
+            at = b + offset
+            if at >= 2 * _WORD_QUBITS or at >= t + width or b == bit:
+                continue
+            if at + width > top:
+                return False
+            low += ((1 << width) - 1) << at
+    return low < 1 << top
+
+
+def _gather_code(words: np.ndarray, terms: tuple, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Table indices of a batch of uint64 lane words into `out` (uint64)."""
+    for i, (word, mask, mult, shift) in enumerate(terms):
+        dst = out if i == 0 else tmp
+        np.bitwise_and(words[word], mask, out=dst)
+        if mult != 1:
+            np.multiply(dst, mult, out=dst)
+        if shift:
+            np.right_shift(dst, shift, out=dst)
         if i:
             np.bitwise_or(out, tmp, out=out)
+    return out
+
+
+def _laid_out(table: np.ndarray, codes, m: int = 1) -> np.ndarray:
+    """table, whose last axis holds entry c * m + slot of local code c, in its
+    step's index order: entry i * m + slot taken from code codes[i]."""
+    if codes is None:
+        return table
+    out = table.reshape(*table.shape[:-1], len(codes), m)[..., codes, :].reshape(table.shape)
+    out.setflags(write=False)
     return out
 
 
@@ -256,13 +361,14 @@ def _gather_code(lanes: np.ndarray, plan: tuple, out: np.ndarray, tmp: np.ndarra
 class _Step:
     """One channel step, with 4^k columns; one start factor, with the
     identity column alone; or one finish factor, with 4^k columns, m = 1, its
-    trace table as mult and no flips. Entry c * m + slot holds the multiplier
-    and the XOR deltas of output `slot` of the column with code c; m = 1 for
-    a deterministic step, which then draws nothing."""
+    trace table as mult and no flips. The columns are in the order of the
+    gather's index: entry i * m + slot holds the multiplier and the XOR deltas
+    of output `slot` of the column read at index i; m = 1 for a deterministic
+    step, which then draws nothing."""
     qubits: tuple
-    gather: tuple
+    gather: tuple     # the terms of _gather_plan(qubits)
     m: int
-    cum: np.ndarray   # (m - 1, columns): P(slot <= t) for column c at [t, c]
+    cum: np.ndarray   # (m - 1, columns): P(slot <= t) for the column at index i at [t, i]
     mult: np.ndarray  # (columns * m,) the entry, or sign * column L1 norm if m > 1
     flips: tuple      # (word, (columns * m,) uint64 bits to XOR) per word it changes
     kills: bool       # some column is dead, so a batch can die here
@@ -272,8 +378,6 @@ class _Step:
 _FINISH_BLOCK_QUBITS = 8
 # a fused table holds up to 4^8 float64 entries (512 KiB): keep few
 _FINISH_CACHE_SIZE = 4
-# a fused channel step has 4^5 entries per table, built afresh per compile
-_FUSE_QUBITS = 5
 # how many groups back a Clifford step may join one: without a bound, long
 # circuits fuse better than short ones and the steps walked are not
 # proportional to depth. A wider window walks fewer steps (about 52 at 8
@@ -378,28 +482,32 @@ def _fused(run: list, qubits: list) -> _Step:
     put in lane words and walked through the run's steps, which compose as
     out = out2[out1], mult = mult1 * mult2[out1]. The products of +-1 are
     exact, so a lane's coefficient ends bit for bit as it does step by step."""
+    qubits = tuple(qubits)
     digits = _code_digits(len(qubits))
     size = digits.shape[1]
     start = np.zeros((-(-ENGINE_MAX_QUBITS // _WORD_QUBITS), size), dtype=np.uint64)
     for pos, q in enumerate(qubits):
         word, bit = _word_bit(q)
         start[word] |= digits[pos] << np.uint64(bit)
+    terms, codes = _gather_plan(qubits)
+    if codes is not None:
+        start = start[:, codes]  # each code at its index, so the tables come out in that order
     words = start.copy()
-    lanes = words.view(np.int64)
-    code, tmp = np.empty((2, size), dtype=np.intp)
+    code, tmp = np.empty((2, size), dtype=np.uint64)
+    at = code.view(np.intp)
     mult = np.ones(size)
     for st in run:
-        _gather_code(lanes, st.gather, code, tmp)
-        mult *= st.mult[code]
+        _gather_code(words, st.gather, code, tmp)
+        mult *= st.mult[at]
         for word, table in st.flips:
-            words[word] ^= table[code]
+            words[word] ^= table[at]
     words ^= start  # the bits each code's walk flipped
     # copies, so that a step on one word does not keep the other word's row
     flips = tuple((word, delta.copy()) for word, delta in enumerate(words) if delta.any())
     cum = np.ones((0, size))
     for a in (cum, mult, *(delta for _, delta in flips)):
         a.setflags(write=False)
-    return _Step(tuple(qubits), _gather_plan(qubits), 1, cum, mult, flips, False, True)
+    return _Step(qubits, terms, 1, cum, mult, flips, False, True)
 
 
 def _tabulate(r: np.ndarray) -> tuple:
@@ -434,13 +542,20 @@ def _tabulate(r: np.ndarray) -> tuple:
 
 def _place(table: tuple, qubits) -> _Step:
     m, cum, mult, flips = table
-    return _Step(tuple(qubits), _gather_plan(qubits), m, cum, mult, _spread(flips, qubits),
+    qubits = tuple(qubits)
+    terms, codes = _gather_plan(qubits)
+    if codes is not None:
+        codes = codes[:cum.shape[1]]  # a start factor has code 0's column alone, at index 0
+        cum, mult, flips = _laid_out(cum, codes), _laid_out(mult, codes, m), \
+            _laid_out(flips, codes, m)
+    return _Step(qubits, terms, m, cum, mult, _spread(flips, qubits),
                  not mult.all(), m == 1 and bool(np.all(np.abs(mult) == 1.0)))
 
 
 def _finish_step(qubits, mult: np.ndarray) -> _Step:
     """The step that multiplies by a finish table."""
-    return _Step(tuple(qubits), _gather_plan(qubits), 1, np.ones((0, len(mult))), mult,
+    terms, codes = _gather_plan(tuple(qubits))
+    return _Step(tuple(qubits), terms, 1, np.ones((0, len(mult))), _laid_out(mult, codes),
                  (), not mult.all(), False)
 
 
@@ -488,6 +603,9 @@ class _Compiled:
     steps: list
     finish: list
     cost: CostReport
+    # _run_batch's arrays, kept across the batches that walk this object and
+    # let go with it
+    scratch: tuple = field(default=None, repr=False, compare=False)
 
 
 def compile_circuit(circuit: Circuit, direction: str) -> "_Compiled":
@@ -507,40 +625,45 @@ def compile_circuit(circuit: Circuit, direction: str) -> "_Compiled":
 
 
 def _run_batch(compiled: _Compiled, count: int, rng) -> tuple:
-    words = np.empty((len(compiled.const), count), dtype=np.uint64)
+    if compiled.scratch is None or compiled.scratch[0].shape[1] < count:
+        compiled.scratch = (np.empty((len(compiled.const), count), dtype=np.uint64),
+                            np.empty((3, count), dtype=np.uint64), np.empty((3, count)),
+                            np.empty(count, dtype=bool))
+    # a short batch walks the first count lanes of each array
+    lanes, ints, floats, below = compiled.scratch
+    words = lanes[:, :count]
+    code, index, delta = ints[:, :count]
+    coeff, factor, u = floats[:, :count]
+    below = below[:count]
     words[:] = np.array(compiled.const, dtype=np.uint64)[:, None]
-    coeff = np.full(count, compiled.const_coeff)
-    # scratch buffers reused by every step. The gathers pass mode="wrap"
-    # because mode="raise" copies through a buffer; every code is in range.
-    lanes = words.view(np.int64)
-    code = np.empty(count, dtype=np.intp)
-    index = np.empty(count, dtype=np.intp)
-    factor = np.empty(count)
-    delta = np.empty(count, dtype=np.uint64)
-    u = np.empty(count)
-    below = np.empty(count, dtype=bool)
+    coeff.fill(compiled.const_coeff)
+    # the gathers pass mode="wrap" because mode="raise" copies through a
+    # buffer; every index is in range
+    code_at, index_at = code.view(np.intp), index.view(np.intp)
     for st in compiled.start + compiled.steps + compiled.finish:
-        _gather_code(lanes, st.gather, code, index)
+        _gather_code(words, st.gather, code, index)
+        at = code_at
         if st.m > 1:
-            # slot = #{t : u >= cum[t, c]}, the inverse-CDF draw of the column
+            # slot = #{t : u >= cum[t, i]}, the inverse-CDF draw of the column
             rng.random(count, out=u)
-            np.multiply(code, st.m, out=index)
+            np.multiply(code_at, st.m, out=index_at)
             for row in st.cum:
-                np.take(row, code, out=factor, mode="wrap")
+                np.take(row, code_at, out=factor, mode="wrap")
                 np.greater_equal(u, factor, out=below)
-                np.add(index, below, out=index)
-            code, index = index, code  # the tables are read at c * m + slot
-        np.take(st.mult, code, out=factor, mode="wrap")
+                np.add(index_at, below, out=index_at)
+            at = index_at  # the tables are read at i * m + slot
+        np.take(st.mult, at, out=factor, mode="wrap")
         coeff *= factor
         for word, table in st.flips:
-            np.take(table, code, out=delta, mode="wrap")
+            np.take(table, at, out=delta, mode="wrap")
             words[word] ^= delta
         if st.kills and not coeff.any():
             return 0.0, 0.0
     if __debug__:
         limit = compiled.cost.total_bound * (1 + 1e-9) + 1e-12
         assert float(np.abs(coeff).max(initial=0.0)) <= limit
-    return float(coeff.sum()), float((coeff * coeff).sum())
+    np.multiply(coeff, coeff, out=factor)
+    return float(coeff.sum()), float(factor.sum())
 
 
 def estimate(
@@ -559,8 +682,9 @@ def estimate(
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    # True would run one sample, 1000.0 fail deep in the fan-out
+    if not is_integer(n_samples) or n_samples < 1:
+        raise ValueError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
     _check_delta(delta)
     t0 = time.perf_counter()
     compiled = compile_circuit(circuit, direction)

@@ -85,6 +85,32 @@ def test_non_integer_seed_elements_are_refused(seed, bad):
         estimate(_noisy_circuit(), "heisenberg", 10, seed=seed)
 
 
+@pytest.mark.parametrize("n_samples", [True, 1000.0, np.float64(10.0), "10"])
+def test_non_integer_sample_counts_are_refused(n_samples):
+    # True would run one sample and report n_samples True; 1000.0 failed
+    # with a bare TypeError deep in the fan-out
+    with pytest.raises(ValueError, match=f"n_samples must be an integer of at least 1, "
+                                         f"got {re.escape(repr(n_samples))}"):
+        estimate(_noisy_circuit(), "heisenberg", n_samples)
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0, True, "2"])
+def test_non_integer_worker_counts_are_refused(workers):
+    # 1.5 ran serially without complaint
+    match = f"workers must be an integer of at least 1, got {re.escape(repr(workers))}"
+    with pytest.raises(ValueError, match=match):
+        map_blocks(_draws_of_block, (), 3, workers)
+    with pytest.raises(ValueError, match=match):
+        estimate(_noisy_circuit(), "heisenberg", 10, workers=workers)
+
+
+def test_numpy_integer_counts_are_taken():
+    rep = estimate(_noisy_circuit(), "heisenberg", np.int64(100), workers=np.int32(1))
+    assert rep.mean == estimate(_noisy_circuit(), "heisenberg", 100).mean
+    assert map_blocks(_draws_of_block, (), np.int64(2), np.uint8(1)) == \
+        [_draws_of_block(0), _draws_of_block(1)]
+
+
 def test_numpy_integer_seeds_draw_the_int_streams():
     for seed in (np.int64(7), np.uint64(7), np.int32(7)):
         assert fanout.check_seed((seed, np.uint8(1))) == (seed, np.uint8(1))

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -540,23 +541,38 @@ def test_upper_half_relabelling_gives_equal_results(direction):
 # a lane's Pauli string, as this test reads it: qubit q's PTM digit (I, X, Y,
 # Z = 0..3) is bits 2 (q mod 32) and 2 (q mod 32) + 1 of word q // 32; a step's
 # local code is the PTM index with qubit pos's digit at bits 2 pos and 2 pos + 1.
+# A step's tables are read at the index its gather makes of a lane's word.
 
 
 def _word_shift(q):
     return q // 32, 2 * (q % 32)
 
 
-def _check_gather(step):
-    """The step's code gather reads each of its qubits' two digit bits into the
-    qubit's local digit, on random lane words (sign bits included)."""
-    words = np.random.default_rng(0).bit_generator.random_raw((2, 256))
-    code = propagation._gather_code(words.view(np.int64), step.gather,
-                                    np.empty(256, dtype=np.intp), np.empty(256, dtype=np.intp))
-    want = np.zeros(256, dtype=np.uint64)
-    for pos, q in enumerate(step.qubits):
-        word, shift = _word_shift(q)
-        want |= ((words[word] >> np.uint64(shift)) & np.uint64(3)) << np.uint64(2 * pos)
-    np.testing.assert_array_equal(code, want.astype(np.intp))
+def _plan_index(qubits, terms):
+    """index[c]: what the gather terms read from lane words holding local code
+    c on qubits, after checking that it is one-to-one onto [0, 4^k) and the
+    same whatever the lanes' other bits hold (qubit 63's top bit included)."""
+    k = len(qubits)
+    codes = np.arange(4**k, dtype=np.uint64)
+    rng = np.random.default_rng(0)
+    index = None
+    for _ in range(3):
+        words = rng.bit_generator.random_raw((2, 4**k))
+        for pos, q in enumerate(qubits):
+            word, shift = _word_shift(q)
+            words[word] &= ~np.uint64(3 << shift)
+            words[word] |= ((codes >> np.uint64(2 * pos)) & np.uint64(3)) << np.uint64(shift)
+        got = propagation._gather_code(words, terms, np.empty(4**k, dtype=np.uint64),
+                                       np.empty(4**k, dtype=np.uint64))
+        if index is None:
+            index = got.copy()
+        np.testing.assert_array_equal(got, index)
+    np.testing.assert_array_equal(np.sort(index), codes)
+    return index.astype(np.intp)
+
+
+def _step_index(step):
+    return _plan_index(step.qubits, step.gather)
 
 
 def _flipped_code(step, e):
@@ -575,20 +591,24 @@ def _flipped_code(step, e):
 
 
 def _decode_step(step):
-    """Dense matrix whose column j is the expected output of Pauli j; a start
-    step has the identity column alone."""
+    """Dense matrix whose column j is the expected output of Pauli j, read
+    from the tables at the index the step's gather makes of j; a start step
+    has the identity column alone."""
     k = len(step.qubits)
     columns, m = step.cum.shape[1], step.m
-    _check_gather(step)
+    index = _step_index(step)
     words = [word for word, _ in step.flips]
     assert words == sorted(set(words)) and all(delta.any() for _, delta in step.flips)
     assert step.kills == (not step.mult.all())
+    assert len(step.mult) == columns * m
     dense = np.zeros((4**k, columns))
     for c in range(columns):
+        i = index[c]
+        assert i < columns  # a start step's identity column is read at index 0
         for slot in range(m):
-            upper = 1.0 if slot == m - 1 else step.cum[slot, c]
-            lower = 0.0 if slot == 0 else step.cum[slot - 1, c]
-            e = c * m + slot
+            upper = 1.0 if slot == m - 1 else step.cum[slot, i]
+            lower = 0.0 if slot == 0 else step.cum[slot - 1, i]
+            e = i * m + slot
             out = c ^ _flipped_code(step, e)
             dense[out, c] += (upper - lower) * step.mult[e]
     return dense
@@ -605,8 +625,8 @@ def _library_channels():
 
 @pytest.mark.parametrize("direction", ["schrodinger", "heisenberg"])
 def test_compiled_steps_decode_to_their_ptm(direction):
-    # in the lower word, in the upper word (qubit 63's high digit bit is the
-    # sign bit), and across the two; runs of adjacent qubits share one gather term
+    # in the lower word, in the upper word (up to qubit 63's top bit), and
+    # across the two, where each run of qubits is read by a gather term of its own
     placements = [{1: (5,), 2: (6, 1), 3: (7, 2, 4)},
                   {1: (63,), 2: (40, 41), 3: (61, 62, 63)},
                   {1: (32,), 2: (31, 32), 3: (33, 30, 32)}]
@@ -645,8 +665,14 @@ def test_cached_tables_keep_their_direction_and_are_read_only():
             (step,) = compiled.steps
             want = ptm.matrix if direction == "schrodinger" else ptm.matrix.T
             np.testing.assert_allclose(_decode_step(step), want, rtol=0, atol=1e-11)
-            _, cum, mult, flips = propagation._TABLES[ptm][direction]
-            assert step.cum is cum and step.mult is mult
+            m, cum, mult, flips = propagation._TABLES[ptm][direction]
+            # the placed tables are the cached ones in the gather's index order,
+            # and the cached ones themselves where that order is the PTM's
+            index = _step_index(step)
+            np.testing.assert_array_equal(step.cum[:, index], cum)
+            np.testing.assert_array_equal(step.mult.reshape(-1, m)[index], mult.reshape(-1, m))
+            if np.array_equal(index, np.arange(len(index))):
+                assert step.cum is cum and step.mult is mult
             assert compile_circuit(circ, direction).steps[0] is step  # placed once
             steps = compiled.start + compiled.steps + compiled.finish
             for table in (cum, mult, flips, *(s.mult for s in steps),
@@ -957,13 +983,13 @@ def test_clifford_walks_equal_their_nonzero_exact_values():
 
 
 def _finish_table(step):
-    """A finish step's multipliers in PTM index order, after checking that the
-    step draws nothing and flips no bits."""
+    """A finish step's multipliers in PTM index order, each read at the index
+    the step's gather makes of its code, after checking that the step draws
+    nothing and flips no bits."""
     k = len(step.qubits)
     assert step.m == 1 and step.cum.shape == (0, 4**k) and step.flips == ()
     assert step.kills == (not step.mult.all())
-    _check_gather(step)
-    return step.mult
+    return step.mult[_step_index(step)]
 
 
 @pytest.mark.parametrize("direction", ["schrodinger", "heisenberg"])
@@ -988,3 +1014,130 @@ def test_compiled_finish_steps_decode_to_their_factors(direction):
         np.testing.assert_allclose(_finish_table(step), want, rtol=1e-14, atol=0)
     for step, (_, op) in zip(finish[len(runs):], multi):
         np.testing.assert_array_equal(_finish_table(step), op.trace_table)
+
+
+def _plan_tuples():
+    """Qubit tuples of k = 1..5 in word 0, in word 1, across qubits 31/32 and
+    on qubit 63, in random order, plus runs of 8 as the finish fuses them."""
+    rng = np.random.default_rng(2501)
+    for k in range(1, 6):
+        for _ in range(30):
+            yield tuple(int(q) for q in rng.choice(32, size=k, replace=False))
+            yield tuple(int(q) for q in 32 + rng.choice(32, size=k, replace=False))
+            for must in ((31, 32), (63,)):
+                if len(must) <= k:
+                    rest = [q for q in range(64) if q not in must]
+                    qubits = [*must, *(int(q) for q in rng.choice(rest, size=k - len(must),
+                                                                  replace=False))]
+                    yield tuple(int(q) for q in rng.permutation(qubits))
+    for first in (0, 20, 28, 56):
+        yield tuple(range(first, first + 8))
+
+
+def test_gather_plans_read_a_one_to_one_index():
+    one_term = multi_run = 0
+    for qubits in _plan_tuples():
+        terms, codes = propagation._gather_plan(qubits)
+        index = _plan_index(qubits, terms)  # one-to-one, and blind to other bits
+        if codes is None:
+            np.testing.assert_array_equal(index, np.arange(len(index)))
+        else:
+            np.testing.assert_array_equal(codes[index], np.arange(len(index)))
+        # one term per run of qubits in qubit order: a shift, or a multiply by 2^s
+        runs = {(q // 32, q % 32 - pos) for pos, q in enumerate(qubits)}
+        per_run = len(terms) == len(runs) and codes is None and all(
+            mult & (mult - 1) == 0 and (mult == 1 or shift == 0) for _, _, mult, shift in terms)
+        if len({q // 32 for q in qubits}) > 1 or len(qubits) > propagation._FUSE_QUBITS:
+            assert per_run, qubits
+        elif len(runs) > 1:
+            multi_run += 1
+            if len(terms) == 1:
+                one_term += 1
+                ((word, mask, mult, shift),) = terms
+                assert shift == 64 - 2 * len(qubits)
+                assert mask == sum(3 << (2 * (q % 32)) for q in qubits)
+            else:
+                assert per_run, qubits  # no run order gave a one-to-one index
+    # most steps in one word are read by one multiply
+    assert one_term >= 0.8 * multi_run
+
+
+def _multi_qubit_noise_circuit(n, rng):
+    """_random_clifford_noise_circuit with a ZZZ rotation, a three-qubit
+    stochastic step, on a random triple of its qubits after every tenth
+    channel, and a two-qubit input and observable factor on a random pair."""
+    circ = _random_clifford_noise_circuit(n, rng)
+    active = sorted({q for app in circ.channels for q in app.qubits})
+    zzz = make_unitary_ptm(_zzz_rotation(math.pi / 8))
+    apps = []
+    for i, app in enumerate(circ.channels):
+        apps.append(app)
+        if i % 10 == 9:
+            triple = tuple(int(q) for q in rng.choice(active, size=3, replace=False))
+            apps.append(ChannelApplication(zzz, triple))
+    pair = tuple(int(q) for q in rng.choice(active, size=2, replace=False))
+
+    def with_pair(state):
+        return FactoredState(n, [(pair, golden_pair())] + [
+            (qubits, op) for qubits, op in state.factors if qubits[0] not in pair])
+
+    return Circuit(n, with_pair(circ.input), apps, with_pair(circ.observable))
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_multiply_gathers_walk_equal_to_per_run_gathers(direction, monkeypatch):
+    # a batch walked through steps read by one multiply, with their tables
+    # laid out in its index order, gives the same (sum, sum of squares), bit
+    # for bit, as one walked through steps read by one term per run
+    rng = np.random.default_rng(2502)
+    circuits = [_multi_qubit_noise_circuit(n, rng) for n in (8, 33, 64) for _ in range(3)]
+    multiplied = [compile_circuit(circ, direction) for circ in circuits]
+    propagation._gather_plan.cache_clear()
+    monkeypatch.setattr(propagation, "_fields", lambda runs, top: None)
+    monkeypatch.setattr(propagation, "_TABLES", weakref.WeakKeyDictionary())
+    try:
+        per_run = [compile_circuit(circ, direction) for circ in circuits]
+    finally:
+        propagation._gather_plan.cache_clear()
+
+    def steps(compiled):
+        return compiled.start + compiled.steps + compiled.finish
+
+    for a, b in zip(multiplied, per_run):
+        assert [st.qubits for st in steps(a)] == [st.qubits for st in steps(b)]
+    assert all(len(st.gather) == len({(q // 32, q % 32 - pos) for pos, q in enumerate(st.qubits)})
+               for compiled in per_run for st in steps(compiled))
+    pairs = [(sa, sb) for a, b in zip(multiplied, per_run) for sa, sb in zip(steps(a), steps(b))]
+    multiply = [sa for sa, sb in pairs if len(sa.gather) < len(sb.gather)]
+    assert any(st.m > 1 for st in multiply)  # a ZZZ rotation
+    assert any(not st.permutes and st.m == 1 for st in multiply)  # a finish factor
+    assert any(sa.kills for sa, _ in pairs)  # a measure_z
+    for trial, (a, b) in enumerate(zip(multiplied, per_run)):
+        walked = propagation._run_batch(a, 4096, np.random.default_rng(trial))
+        assert walked == propagation._run_batch(b, 4096, np.random.default_rng(trial)), trial
+        assert walked[1] > 0.0
+
+
+def test_batches_reuse_their_arrays_and_let_them_go(monkeypatch):
+    circ = _multi_qubit_noise_circuit(33, np.random.default_rng(2503))
+    compiled = compile_circuit(circ, "schrodinger")
+    propagation._run_batch(compiled, 5000, np.random.default_rng(0))
+    scratch = compiled.scratch
+    # a shorter batch walks the front of the same arrays, as a fresh one would
+    short = propagation._run_batch(compiled, 1000, np.random.default_rng(1))
+    assert compiled.scratch is scratch
+    assert short == propagation._run_batch(compile_circuit(circ, "schrodinger"), 1000,
+                                           np.random.default_rng(1))
+    # estimate's compiled circuit, and with it the arrays, go when it returns
+    made = []
+    real = propagation.compile_circuit
+
+    def compile_and_track(*args):
+        compiled = real(*args)
+        made.append(weakref.ref(compiled))
+        return compiled
+
+    monkeypatch.setattr(propagation, "compile_circuit", compile_and_track)
+    estimate(circ, "schrodinger", BATCH_SIZE + 10, seed=4)
+    gc.collect()
+    assert len(made) == 1 and made[0]() is None
