@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 from . import channels as ch
+from .fanout import is_integer
 from .operators import (
     DenseOperator,
     LIBRARY_STATES,
@@ -58,19 +59,15 @@ def _require(cond: bool, path: str, message: str):
         raise SpecValidationError(f"{path}: {message}")
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)  # bool subclasses int
-
-
 def _is_number(v) -> bool:
     # json.load reads NaN, Infinity and -Infinity as floats
-    return (_is_integer(v) or isinstance(v, float)) and math.isfinite(v)
+    return (is_integer(v) or isinstance(v, float)) and math.isfinite(v)
 
 
 def _qubit_list(obj: dict, path: str, n: int | None) -> tuple:
     _require("qubits" in obj, path, "missing 'qubits'")
     qs = obj["qubits"]
-    _require(isinstance(qs, list) and qs and all(_is_integer(q) for q in qs),
+    _require(isinstance(qs, list) and qs and all(is_integer(q) for q in qs),
              f"{path}.qubits", "must be a nonempty list of integers")
     _require(len(set(qs)) == len(qs), f"{path}.qubits", "qubits repeat")
     if n is not None:
@@ -212,7 +209,7 @@ def parse_circuit(obj) -> Circuit:
     for key in ("n", "input", "channels", "observable"):
         _require(key in obj, "circuit", f"missing '{key}'")
     n = obj["n"]
-    _require(_is_integer(n) and n >= 1, "circuit.n", "must be a positive integer")
+    _require(is_integer(n) and n >= 1, "circuit.n", "must be a positive integer")
     _require(isinstance(obj["input"], list), "circuit.input", "must be a list")
     _require(isinstance(obj["channels"], list), "circuit.channels", "must be a list")
     _require(isinstance(obj["observable"], list), "circuit.observable", "must be a list")
@@ -243,17 +240,17 @@ def parse_instance(obj) -> E3Lin2Instance:
     for key in ("n", "equations"):
         _require(key in obj, "instance", f"missing '{key}'")
     n = obj["n"]
-    _require(_is_integer(n) and n >= 3, "instance.n", "must be an integer >= 3")
+    _require(is_integer(n) and n >= 3, "instance.n", "must be an integer >= 3")
     eqs = obj["equations"]
     _require(isinstance(eqs, list) and eqs, "instance.equations", "must be a nonempty list")
     parsed = []
     for i, eq in enumerate(eqs):
         _require(isinstance(eq, list) and len(eq) == 4
-                 and all(_is_integer(v) for v in eq),
+                 and all(is_integer(v) for v in eq),
                  f"instance.equations[{i}]", "must be [a, b, c, d] integers")
         parsed.append(tuple(eq))
     m = obj.get("m", len(parsed))
-    _require(_is_integer(m) and m == len(parsed), "instance.m", "does not match the equation count")
+    _require(is_integer(m) and m == len(parsed), "instance.m", "does not match the equation count")
     try:
         return E3Lin2Instance(n, len(parsed), tuple(parsed))
     except ValueError as e:

@@ -123,9 +123,10 @@ def fan_out(fn, args: tuple, n_items: int, block_size: int, seed: int | tuple,
     or (seed,) for an int.
 
     Block b covers items [b * block_size, min((b + 1) * block_size, n_items)).
+    n_items must be an integer (is_integer: no bool, no float) of at least 0.
     """
-    if n_items < 0:
-        raise ValueError(f"sample count must be at least 0, got {n_items}")
+    if not is_integer(n_items) or n_items < 0:
+        raise ValueError(f"sample count must be an integer of at least 0, got {n_items!r}")
     prefix = check_seed(seed)
     return map_blocks(_seeded_block, (fn, args, n_items, block_size, prefix),
                       -(-n_items // block_size), workers)

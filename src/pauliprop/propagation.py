@@ -230,19 +230,6 @@ def _word_bit(q: int) -> tuple:
     return divmod(2 * q, 2 * _WORD_QUBITS)
 
 
-def _spread(codes: np.ndarray, qubits) -> tuple:
-    """(word, deltas) pairs that put digit pos of local codes on qubit
-    qubits[pos]: one uint64 table per lane word with a bit to flip."""
-    deltas = {}
-    for pos, q in enumerate(qubits):
-        word, bit = _word_bit(q)
-        digit = ((codes >> (2 * pos)) & 3).astype(np.uint64) << np.uint64(bit)
-        deltas[word] = deltas[word] | digit if word in deltas else digit
-    for d in deltas.values():
-        d.setflags(write=False)
-    return tuple((word, d) for word, d in sorted(deltas.items()) if d.any())
-
-
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _gather_plan(qubits: tuple) -> tuple:
     """(terms, codes) of a step: terms (word, mask, mult, shift) whose OR of
@@ -268,9 +255,8 @@ def _gather_plan(qubits: tuple) -> tuple:
         if fields is not None:
             term = (words.pop(), sum(((1 << width) - 1) << bit for bit, width, _ in fields),
                     sum(1 << (target - bit) for bit, _, target in fields), top)
-            # the index of every local code: its placed digits times mult, the top bits
-            places = np.array([1 << _word_bit(q)[1] for q in qubits], dtype=np.uint64)
-            index = (places @ _code_digits(k)) * np.uint64(term[2]) >> np.uint64(top)
+            # the index of every local code: its lane bits times mult, the top bits
+            index = _code_lanes(qubits)[term[0]] * np.uint64(term[2]) >> np.uint64(top)
             identity = np.arange(4**k)
             if np.array_equal(index, identity):
                 return (term,), None
@@ -477,18 +463,27 @@ def _code_digits(k: int) -> np.ndarray:
     return digits
 
 
+def _code_lanes(qubits) -> np.ndarray:
+    """(words, 4^k) uint64: the lane bits that each local code of qubits sets
+    in words 0 up to the last that qubits touch, in code order. Lane bits are
+    linear in the digits (codes a ^ b set bits a's ^ b's), so a step's local
+    flips are placed by reading this at them."""
+    digits = _code_digits(len(qubits))
+    lanes = np.zeros((_word_bit(max(qubits))[0] + 1, digits.shape[1]), dtype=np.uint64)
+    for pos, q in enumerate(qubits):
+        word, bit = _word_bit(q)
+        lanes[word] |= digits[pos] << np.uint64(bit)
+    return lanes
+
+
 def _fused(run: list, qubits: list) -> _Step:
     """The step on `qubits` that walks `run`: every local code of the union is
     put in lane words and walked through the run's steps, which compose as
     out = out2[out1], mult = mult1 * mult2[out1]. The products of +-1 are
     exact, so a lane's coefficient ends bit for bit as it does step by step."""
     qubits = tuple(qubits)
-    digits = _code_digits(len(qubits))
-    size = digits.shape[1]
-    start = np.zeros((-(-ENGINE_MAX_QUBITS // _WORD_QUBITS), size), dtype=np.uint64)
-    for pos, q in enumerate(qubits):
-        word, bit = _word_bit(q)
-        start[word] |= digits[pos] << np.uint64(bit)
+    start = _code_lanes(qubits)
+    size = start.shape[1]
     terms, codes = _gather_plan(qubits)
     if codes is not None:
         start = start[:, codes]  # each code at its index, so the tables come out in that order
@@ -548,7 +543,11 @@ def _place(table: tuple, qubits) -> _Step:
         codes = codes[:cum.shape[1]]  # a start factor has code 0's column alone, at index 0
         cum, mult, flips = _laid_out(cum, codes), _laid_out(mult, codes, m), \
             _laid_out(flips, codes, m)
-    return _Step(qubits, terms, m, cum, mult, _spread(flips, qubits),
+    deltas = (lanes[flips] for lanes in _code_lanes(qubits))
+    flips = tuple((word, delta) for word, delta in enumerate(deltas) if delta.any())
+    for _, delta in flips:
+        delta.setflags(write=False)
+    return _Step(qubits, terms, m, cum, mult, flips,
                  not mult.all(), m == 1 and bool(np.all(np.abs(mult) == 1.0)))
 
 
@@ -682,7 +681,7 @@ def estimate(
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
-    # True would run one sample, 1000.0 fail deep in the fan-out
+    # fan_out refuses a count that is not an integer too, but only after compiling
     if not is_integer(n_samples) or n_samples < 1:
         raise ValueError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
     _check_delta(delta)

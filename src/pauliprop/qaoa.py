@@ -36,7 +36,7 @@ import numpy as np
 from .channels import ChannelApplication, make_unitary_ptm
 from .fanout import check_seed, fan_out, map_blocks
 from .operators import DenseOperator, FactoredState, plus_state
-from .propagation import Circuit, estimate
+from .propagation import Circuit, _check_delta, estimate
 
 GENERATION_RESTARTS = 50
 ATTEMPTS_PER_EQUATION = 2000
@@ -201,12 +201,14 @@ def term_weights(inst: E3Lin2Instance) -> np.ndarray:
 def epsilon_heis(m: int, n_samples: int, delta: float, gamma: float) -> float:
     """m / sqrt(2N) * sqrt(ln(2/delta)) * (|sin g| + |cos g|)^(3(m/10 - 1) + 1),
     with m/10 evaluated as written."""
+    _check_delta(delta)
     base = abs(math.sin(gamma)) + abs(math.cos(gamma))
     exponent = 3.0 * (m / 10.0 - 1.0) + 1.0
     return m / math.sqrt(2 * n_samples) * math.sqrt(math.log(2 / delta)) * base**exponent
 
 
 def epsilon_nest(m: int, n_samples: int, delta: float) -> float:
+    _check_delta(delta)
     return m / math.sqrt(n_samples) * math.sqrt(math.log(2 / delta))
 
 

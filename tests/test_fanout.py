@@ -92,6 +92,17 @@ def test_non_integer_sample_counts_are_refused(n_samples):
     with pytest.raises(ValueError, match=f"n_samples must be an integer of at least 1, "
                                          f"got {re.escape(repr(n_samples))}"):
         estimate(_noisy_circuit(), "heisenberg", n_samples)
+    # the other sampled entry points are refused by fan_out, which they call
+    inst = generate_instance(8, 10, block_rng(3, 0))
+    runs = [lambda: fan_out(_draws, (), n_samples, 4, 0, 1),
+            lambda: classification_census(n_samples),
+            lambda: state_census(n_samples)]
+    if not isinstance(n_samples, str):  # vdn_estimate compares it with 1 first
+        runs.append(lambda: vdn_estimate(inst, QaoaParams(gamma=0.3), n_samples))
+    for run in runs:
+        with pytest.raises(ValueError, match=f"sample count must be an integer of at least 0, "
+                                             f"got {re.escape(repr(n_samples))}"):
+            run()
 
 
 @pytest.mark.parametrize("workers", [1.5, 2.0, True, "2"])
@@ -109,6 +120,13 @@ def test_numpy_integer_counts_are_taken():
     assert rep.mean == estimate(_noisy_circuit(), "heisenberg", 100).mean
     assert map_blocks(_draws_of_block, (), np.int64(2), np.uint8(1)) == \
         [_draws_of_block(0), _draws_of_block(1)]
+    inst = generate_instance(8, 10, block_rng(3, 0))
+    params = QaoaParams(gamma=0.3)
+    assert vdn_estimate(inst, params, np.int64(100)) == vdn_estimate(inst, params, 100)
+    assert classification_census(np.int64(6), seed=1) == classification_census(6, seed=1)
+    # a census of 0 samples is legal, and counts nothing
+    assert not any(classification_census(0).counts.values())
+    assert not any(state_census(0).values())
 
 
 def test_numpy_integer_seeds_draw_the_int_streams():

@@ -147,6 +147,15 @@ def test_epsilon_formulas():
     assert epsilon_nest(40, 1000, 0.01) > epsilon_nest(20, 1000, 0.01)
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, 3.0, -0.1, math.nan])
+def test_epsilon_formulas_refuse_bad_delta(delta):
+    # epsilon_nest raised ZeroDivisionError at 0 and a math domain error at 3,
+    # and epsilon_heis returned a number at 1.5
+    for eps in (lambda: epsilon_heis(20, 1000, delta, 0.3), lambda: epsilon_nest(20, 1000, delta)):
+        with pytest.raises(ValueError, match=f"delta must lie in \\(0, 1\\).*got {delta!r}"):
+            eps()
+
+
 def test_both_estimators_match_the_oracle():
     inst = generate_instance(8, 10, rng_for(11))
     params = QaoaParams(gamma=math.pi / 8)
