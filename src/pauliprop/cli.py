@@ -32,7 +32,7 @@ from .circuit_io import (
     parse_channel,
 )
 from .exact import OracleTooLargeError, run_exact
-from .fanout import block_rng, map_blocks
+from .fanout import block_rng, check_count, map_blocks
 from .operators import DenseOperator, pauli_matrix
 from .propagation import BoundOverflowError, estimate, plan_samples
 
@@ -197,8 +197,7 @@ def _cmd_figures(args) -> int:
     if samples is None:
         samples = _FIGURE_DEFAULT_SAMPLES.get(args.which, 0)
     if args.which in _FIGURE_DEFAULT_SAMPLES:
-        if samples < 1:  # fig2 and fig5 divide by the count
-            raise ValueError(f"sample count must be at least 1, got {samples}")
+        check_count(samples, 1)  # fig2 and fig5 divide by the count
         _budget(samples)
     if args.which == "fig1":
         if args.grid < 1:

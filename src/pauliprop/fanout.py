@@ -24,6 +24,9 @@ back in block order, so a caller that reduces them in that order gets
 bit-identical results for any worker count. Underneath is map_blocks, which
 runs any function of a block index that way.
 
+check_count is the package's one sample-count rule: fan_out, every sampled
+estimator, the error formulas and the CLI refuse a count with it.
+
 One process pool serves every map_blocks call of a process, and it never
 has more workers than the CPUs this process may use. It is forked at
 the first call that needs workers, so the workers keep this process's module
@@ -74,6 +77,13 @@ def is_integer(value) -> bool:
     return not isinstance(value, bool) and hasattr(type(value), "__index__")
 
 
+def check_count(n, least: int) -> None:
+    """Raise ValueError unless n is an integer (is_integer: no bool, no
+    float) of at least `least`."""
+    if not is_integer(n) or n < least:
+        raise ValueError(f"sample count must be an integer of at least {least}, got {n!r}")
+
+
 def block_rng(seed: int, *path: int) -> np.random.Generator:
     """The generator of the stream keyed (seed, *path), at least 2 elements:
     PCG64 seeded by SeedSequence from the key's fixed-width words."""
@@ -122,11 +132,10 @@ def fan_out(fn, args: tuple, n_items: int, block_size: int, seed: int | tuple,
     order, spread over `workers` processes by map_blocks. The prefix is seed,
     or (seed,) for an int.
 
-    Block b covers items [b * block_size, min((b + 1) * block_size, n_items)).
-    n_items must be an integer (is_integer: no bool, no float) of at least 0.
+    Block b covers items [b * block_size, min((b + 1) * block_size, n_items)),
+    and n_items may be 0 (check_count).
     """
-    if not is_integer(n_items) or n_items < 0:
-        raise ValueError(f"sample count must be an integer of at least 0, got {n_items!r}")
+    check_count(n_items, 0)
     prefix = check_seed(seed)
     return map_blocks(_seeded_block, (fn, args, n_items, block_size, prefix),
                       -(-n_items // block_size), workers)

@@ -44,6 +44,7 @@ whose `classify` attribute counts how the batch was settled.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -433,7 +434,10 @@ def csh_boundary_f(theta: float = np.pi / 4, f_low: float = 0.4, f_high: float =
                    f_tol: float = 1e-3) -> float:
     """Bisect the depolarizing fidelity where the depolarized rotation's Choi
     state stops being a stabilizer mixture (the CSH boundary in the fig3
-    sweep)."""
+    sweep). f_tol must be finite and positive. Below the float spacing at the
+    boundary, the bisection stops once lo and hi are adjacent floats."""
+    if not (math.isfinite(f_tol) and f_tol > 0):
+        raise ValueError(f"f_tol must be finite and positive, got {f_tol!r}")
     from .channels import compose, make_depolarizing, make_rotation
 
     def is_csh(f: float) -> bool:
@@ -444,6 +448,8 @@ def csh_boundary_f(theta: float = np.pi / 4, f_low: float = 0.4, f_high: float =
     lo, hi = f_low, f_high
     while hi - lo > f_tol:
         mid = (lo + hi) / 2
+        if mid in (lo, hi):  # adjacent floats: no float lies between them
+            break
         if is_csh(mid):
             lo = mid
         else:

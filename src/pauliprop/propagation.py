@@ -87,7 +87,7 @@ from itertools import permutations
 import numpy as np
 
 from .channels import ChannelApplication, channel_norm, adjoint_norm
-from .fanout import fan_out, is_integer
+from .fanout import check_count, fan_out
 from .operators import FactoredState, stabilizer_norm_factored
 
 ENGINE_MAX_QUBITS = 64
@@ -179,6 +179,8 @@ def cost_report(circuit: Circuit, direction: str) -> CostReport:
 
 def hoeffding_epsilon(total_bound: float, n_samples: int, delta: float) -> float:
     """epsilon at confidence 1-delta for n samples with range 2*total_bound."""
+    check_count(n_samples, 1)
+    _check_delta(delta)
     return 2.0 * total_bound * math.sqrt(math.log(2.0 / delta) / (2.0 * n_samples))
 
 
@@ -679,11 +681,9 @@ def estimate(
     the result does not depend on the worker count. seed is an int or a
     tuple of ints, the key prefix of the batches' streams (see fanout).
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
-    # fan_out refuses a count that is not an integer too, but only after compiling
-    if not is_integer(n_samples) or n_samples < 1:
-        raise ValueError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
+    # fan_out checks the count too, but only after compiling; compile_circuit
+    # refuses an unknown direction (cost_report) before it builds any table
+    check_count(n_samples, 1)
     _check_delta(delta)
     t0 = time.perf_counter()
     compiled = compile_circuit(circuit, direction)

@@ -34,7 +34,7 @@ from time import perf_counter
 import numpy as np
 
 from .channels import ChannelApplication, make_unitary_ptm
-from .fanout import check_seed, fan_out, map_blocks
+from .fanout import check_count, check_seed, fan_out, map_blocks
 from .operators import DenseOperator, FactoredState, plus_state
 from .propagation import Circuit, _check_delta, estimate
 
@@ -201,6 +201,7 @@ def term_weights(inst: E3Lin2Instance) -> np.ndarray:
 def epsilon_heis(m: int, n_samples: int, delta: float, gamma: float) -> float:
     """m / sqrt(2N) * sqrt(ln(2/delta)) * (|sin g| + |cos g|)^(3(m/10 - 1) + 1),
     with m/10 evaluated as written."""
+    check_count(n_samples, 1)
     _check_delta(delta)
     base = abs(math.sin(gamma)) + abs(math.cos(gamma))
     exponent = 3.0 * (m / 10.0 - 1.0) + 1.0
@@ -208,6 +209,7 @@ def epsilon_heis(m: int, n_samples: int, delta: float, gamma: float) -> float:
 
 
 def epsilon_nest(m: int, n_samples: int, delta: float) -> float:
+    check_count(n_samples, 1)
     _check_delta(delta)
     return m / math.sqrt(n_samples) * math.sqrt(math.log(2 / delta))
 
@@ -271,8 +273,7 @@ def vdn_estimate(inst: E3Lin2Instance, params: QaoaParams, n_samples: int,
     Per-sample totals are asserted against m/2 * (|cos 2b| + |sin 2b|)^3, the
     triangle bound on the conjugated coefficients.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    check_count(n_samples, 1)
     totals = fan_out(_vdn_block, (inst, params), n_samples, _VDN_BATCH, seed, workers)
     return sum(totals) / n_samples
 

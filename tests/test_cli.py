@@ -258,7 +258,7 @@ def test_figures_zero_samples_is_exit_3(tmp_path, capsys, which):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "validation"
-    assert "sample count must be at least 1, got 0" in err["error"]["message"]
+    assert "sample count must be an integer of at least 1, got 0" in err["error"]["message"]
     assert not out.exists()
 
 

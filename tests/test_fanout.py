@@ -22,10 +22,12 @@ from pauliprop.channels import (
 from pauliprop.fanout import block_rng, fan_out, map_blocks
 from pauliprop.magic import classification_census, state_census
 from pauliprop.operators import DenseOperator, FactoredState, h_state, pauli_matrix, t_state
-from pauliprop.propagation import BATCH_SIZE, Circuit, estimate
+from pauliprop.propagation import BATCH_SIZE, Circuit, estimate, hoeffding_epsilon
 from pauliprop.qaoa import (
     QaoaParams,
     _VDN_BATCH,
+    epsilon_heis,
+    epsilon_nest,
     generate_instance,
     heisenberg_estimate,
     run_experiment,
@@ -89,16 +91,21 @@ def test_non_integer_seed_elements_are_refused(seed, bad):
 def test_non_integer_sample_counts_are_refused(n_samples):
     # True would run one sample and report n_samples True; 1000.0 failed
     # with a bare TypeError deep in the fan-out
-    with pytest.raises(ValueError, match=f"n_samples must be an integer of at least 1, "
-                                         f"got {re.escape(repr(n_samples))}"):
-        estimate(_noisy_circuit(), "heisenberg", n_samples)
-    # the other sampled entry points are refused by fan_out, which they call
     inst = generate_instance(8, 10, block_rng(3, 0))
+    # the entry points that need a sample, and the error formulas, which divide by the count
+    runs = [lambda: estimate(_noisy_circuit(), "heisenberg", n_samples),
+            lambda: vdn_estimate(inst, QaoaParams(gamma=0.3), n_samples),
+            lambda: hoeffding_epsilon(1.0, n_samples, 0.05),
+            lambda: epsilon_heis(20, n_samples, 0.01, 0.3),
+            lambda: epsilon_nest(20, n_samples, 0.01)]
+    for run in runs:
+        with pytest.raises(ValueError, match=f"sample count must be an integer of at least 1, "
+                                             f"got {re.escape(repr(n_samples))}"):
+            run()
+    # the censuses are refused by fan_out, which they call
     runs = [lambda: fan_out(_draws, (), n_samples, 4, 0, 1),
             lambda: classification_census(n_samples),
             lambda: state_census(n_samples)]
-    if not isinstance(n_samples, str):  # vdn_estimate compares it with 1 first
-        runs.append(lambda: vdn_estimate(inst, QaoaParams(gamma=0.3), n_samples))
     for run in runs:
         with pytest.raises(ValueError, match=f"sample count must be an integer of at least 0, "
                                              f"got {re.escape(repr(n_samples))}"):

@@ -630,6 +630,37 @@ def test_csh_boundary_location():
         csh_boundary_f(f_low=0.9)
 
 
+@pytest.fixture
+def capped_classify(monkeypatch):
+    """The PTMs magic.classify_ptm is called on; it raises after 200 calls, so
+    a bisection that never stops fails instead of hanging."""
+    calls = []
+
+    def capped(ptm):
+        calls.append(ptm)
+        if len(calls) > 200:
+            raise RuntimeError("bisection did not stop")
+        return classify_ptm(ptm)
+
+    monkeypatch.setattr(magic, "classify_ptm", capped)
+    return calls
+
+
+@pytest.mark.parametrize("f_tol", [0.0, -1e-3, math.nan, math.inf])
+def test_csh_boundary_refuses_bad_tolerance(capped_classify, f_tol):
+    # 0 and below bisected forever; NaN and inf returned the bracket's midpoint
+    with pytest.raises(ValueError, match=f"f_tol must be finite and positive, got {f_tol!r}"):
+        csh_boundary_f(f_tol=f_tol)
+    assert capped_classify == []
+
+
+def test_csh_boundary_stops_at_adjacent_floats(capped_classify):
+    # an f_tol below the float spacing near f* bisected forever too
+    f = csh_boundary_f(f_tol=1e-20)
+    assert abs(f - 0.5468) < 2e-3
+    assert len(capped_classify) <= 2 + 60  # the bracket's two ends, then one per halving
+
+
 # Seeded census outputs: categories and invalid counts must match exactly,
 # robustness values to 1e-9.
 _CENSUS_PINS = {

@@ -314,7 +314,7 @@ def test_estimate_validation():
     circ = trivial_circuit()
     with pytest.raises(ValueError, match="direction"):
         estimate(circ, "both", 10)
-    with pytest.raises(ValueError, match="n_samples"):
+    with pytest.raises(ValueError, match="sample count"):
         estimate(circ, "schrodinger", 0)
     with pytest.raises(ValueError, match="workers"):
         estimate(circ, "schrodinger", 10, workers=0)
@@ -327,6 +327,8 @@ def test_bad_delta_is_refused_before_sampling(monkeypatch, delta):
         estimate(trivial_circuit(), "heisenberg", 10, delta=delta)
     with pytest.raises(ValueError, match="delta"):
         plan_samples(trivial_circuit(), "heisenberg", 0.1, delta)
+    with pytest.raises(ValueError, match="delta"):
+        hoeffding_epsilon(1.0, 100, delta)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -0.5, math.inf, math.nan])

@@ -185,8 +185,14 @@ def test_vdn_seeded_estimates(angles, workers):
 @pytest.mark.parametrize("n_samples", [0, -1])
 def test_vdn_refuses_fewer_than_one_sample(n_samples):
     inst = generate_instance(8, 10, rng_for(3))
-    with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n_samples}"):
-        vdn_estimate(inst, QaoaParams(gamma=0.3), n_samples)
+    runs = [lambda: vdn_estimate(inst, QaoaParams(gamma=0.3), n_samples),
+            lambda: hoeffding_epsilon(1.0, n_samples, 0.05),
+            lambda: epsilon_heis(20, n_samples, 0.01, 0.3),
+            lambda: epsilon_nest(20, n_samples, 0.01)]
+    for run in runs:
+        with pytest.raises(ValueError,
+                           match=f"sample count must be an integer of at least 1, got {n_samples}"):
+            run()
 
 
 def test_engine_epsilon_is_the_weighted_triangle_sum():
