@@ -12,9 +12,11 @@ Circuit files look like:
 Factor specs carry exactly one of "state" (library name), "pauli" (string over
 IXYZ, one character per listed qubit), or "matrix" (2^k x 2^k, entries either
 real numbers or [re, im] pairs). Channel specs carry exactly one of "gate",
-"rotation", "depolarize", "measure_z", "reset", "adaptive", "ptm". Errors name
-the offending path, e.g. "channels[3].rotation". Numbers must be finite, and
-JSON's true and false are not numbers.
+"rotation", "depolarize", "measure_z", "reset", "adaptive", "ptm". Each factor
+and channel is built first, then checked to act on the qubits it lists. Errors
+name the offending path, e.g. "channels[3].rotation"; _at is the one place a
+library ValueError gets its path. Numbers must be finite, and JSON's true and
+false are not numbers.
 
 JSON that fails to decode is a parse error (SpecParseError); decoded content
 that violates the format is a validation error (SpecValidationError).
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,13 +34,14 @@ from . import channels as ch
 from .fanout import is_integer
 from .operators import (
     DenseOperator,
+    EntryError,
+    FactoredState,
     LIBRARY_STATES,
     MAX_FACTOR_QUBITS,
     maximally_mixed,
     pauli_matrix,
 )
 from .propagation import Circuit
-from .operators import FactoredState
 from .qaoa import E3Lin2Instance
 
 
@@ -52,11 +56,30 @@ class SpecValidationError(ValueError):
 _PAULI_CHARS = {"I": 0, "X": 1, "Y": 2, "Z": 3}
 CHANNEL_KEYS = ("gate", "rotation", "depolarize", "measure_z", "reset", "adaptive", "ptm")
 FACTOR_KEYS = ("state", "pauli", "matrix")
+GATE_NAMES = ch.CLIFFORD_NAMES + ("t",)
 
 
 def _require(cond: bool, path: str, message: str):
     if not cond:
         raise SpecValidationError(f"{path}: {message}")
+
+
+def _require_size(k: int, listed: int, path: str):
+    _require(k == listed, path,
+             f"acts on {k} qubit(s), which does not match the {listed} listed")
+
+
+@contextmanager
+def _at(path: str):
+    """Re-raise a library ValueError raised in the block as a
+    SpecValidationError at path, or at path[i] for an EntryError about
+    entry i of the list at path."""
+    try:
+        yield
+    except EntryError as e:
+        raise SpecValidationError(f"{path}[{e.index}]: {e.reason}") from None
+    except ValueError as e:
+        raise SpecValidationError(f"{path}: {e}") from None
 
 
 def _is_number(v) -> bool:
@@ -110,11 +133,7 @@ def parse_factor(obj, path: str, n: int | None = None):
         name = obj["state"]
         _require(isinstance(name, str) and name in LIBRARY_STATES, f"{path}.state",
                  f"unknown state (choose from {sorted(LIBRARY_STATES)})")
-        if name == "maximally_mixed":
-            op = maximally_mixed(k)
-        else:
-            _require(k == 1, f"{path}.state", f"'{name}' is single-qubit")
-            op = LIBRARY_STATES[name]()
+        op = maximally_mixed(k) if name == "maximally_mixed" else LIBRARY_STATES[name]()
     elif kind == "pauli":
         s = obj["pauli"]
         _require(isinstance(s, str) and len(s) == k, f"{path}.pauli",
@@ -126,12 +145,9 @@ def parse_factor(obj, path: str, n: int | None = None):
         op = DenseOperator(pauli_matrix(idx, k))
     else:
         m = _parse_matrix(obj["matrix"], f"{path}.matrix")
-        _require(m.shape[0] == 2**k, f"{path}.matrix",
-                 f"size {m.shape[0]} does not match {k} qubit(s)")
-        try:
+        with _at(f"{path}.matrix"):
             op = DenseOperator(m)
-        except ValueError as e:
-            raise SpecValidationError(f"{path}.matrix: {e}") from None
+    _require_size(op.k, k, f"{path}.{kind}")
     return qubits, op
 
 
@@ -141,57 +157,44 @@ def _bare_channel(obj: dict, kind: str, path: str, k: int) -> ch.PTM:
     if kind == "gate":
         _require(isinstance(val, str), f"{path}.gate", "must be a string")
         name = val.lower()
-        if name == "t":
-            _require(k == 1, f"{path}.gate", "'t' is single-qubit")
-            return ch.make_rotation(math.pi / 4)
-        _require(name in ch.CLIFFORD_NAMES, f"{path}.gate",
-                 f"unknown gate (choose from {ch.CLIFFORD_NAMES + ('t',)})")
-        ptm = ch.make_clifford(name)
-        _require(ptm.k == k, f"{path}.gate", f"'{name}' acts on {ptm.k} qubit(s), not {k}")
-        return ptm
-    if kind == "rotation":
+        _require(name in GATE_NAMES, f"{path}.gate", f"unknown gate (choose from {GATE_NAMES})")
+        ptm = ch.make_rotation(math.pi / 4) if name == "t" else ch.make_clifford(name)
+    elif kind == "rotation":
         _require(_is_number(val), f"{path}.rotation", "must be a finite number")
-        _require(k == 1, f"{path}.rotation", "rotations are single-qubit")
-        return ch.make_rotation(float(val))
-    if kind == "depolarize":
+        ptm = ch.make_rotation(float(val))
+    elif kind == "depolarize":
         _require(_is_number(val) and 0.0 <= val <= 1.0,
                  f"{path}.depolarize", "fidelity must be a number in [0, 1]")
-        _require(k == 1, f"{path}.depolarize", "depolarizing is single-qubit")
-        return ch.make_depolarizing(float(val))
-    if kind == "measure_z":
+        ptm = ch.make_depolarizing(float(val))
+    elif kind == "measure_z":
         _require(val == {}, f"{path}.measure_z", "takes an empty object")
-        _require(k == 1, f"{path}.measure_z", "measurement is single-qubit")
-        return ch.make_measure_z()
-    if kind == "reset":
+        ptm = ch.make_measure_z()
+    elif kind == "reset":
         _require(isinstance(val, dict), f"{path}.reset", "must be a state spec object")
         spec = dict(val)
         spec.setdefault("qubits", list(range(k)))
         _, rho = parse_factor(spec, f"{path}.reset")
-        _require(rho.k == k, f"{path}.reset", f"state is on {rho.k} qubit(s), not {k}")
-        try:
-            return ch.make_reset(rho)
-        except ValueError as e:
-            raise SpecValidationError(f"{path}.reset: {e}") from None
-    if kind == "adaptive":
+        with _at(f"{path}.reset"):
+            ptm = ch.make_reset(rho)
+    elif kind == "adaptive":
         _require(isinstance(val, dict), f"{path}.adaptive", "must be a channel spec object")
         inner_keys = [x for x in CHANNEL_KEYS if x in val]
         _require(len(inner_keys) == 1, f"{path}.adaptive",
                  f"need exactly one of {CHANNEL_KEYS}")
         _require(k >= 2, f"{path}.adaptive", "needs a control plus the inner block")
-        inner = _bare_channel(val, inner_keys[0], f"{path}.adaptive", k - 1)
-        return ch.make_adaptive(inner)
-    # explicit ptm
-    rows = val
-    _require(isinstance(rows, list), f"{path}.ptm", "must be a matrix (list of rows)")
-    m = _parse_matrix(rows, f"{path}.ptm")
-    _require(np.allclose(m.imag, 0.0), f"{path}.ptm", "entries must be real")
-    _require(m.shape[0] == 4**k, f"{path}.ptm",
-             f"size {m.shape[0]} does not match {k} qubit(s)")
-    ptm = ch.PTM(m.real)
-    try:
-        ch.validate_cp(ptm, context=f"{path}.ptm")
-    except ch.NotCompletelyPositiveError as e:
-        raise SpecValidationError(str(e)) from None
+        ptm = ch.make_adaptive(_bare_channel(val, inner_keys[0], f"{path}.adaptive", k - 1))
+    else:
+        _require(isinstance(val, list), f"{path}.ptm", "must be a matrix (list of rows)")
+        m = _parse_matrix(val, f"{path}.ptm")
+        _require(np.allclose(m.imag, 0.0), f"{path}.ptm", "entries must be real")
+        with _at(f"{path}.ptm"):
+            ptm = ch.PTM(m.real)
+    _require_size(ptm.k, k, f"{path}.{kind}")
+    if kind == "ptm":
+        try:
+            ch.validate_cp(ptm, context=f"{path}.ptm")
+        except ch.NotCompletelyPositiveError as e:
+            raise SpecValidationError(str(e)) from None
     return ptm
 
 
@@ -210,17 +213,18 @@ def parse_circuit(obj) -> Circuit:
         _require(key in obj, "circuit", f"missing '{key}'")
     n = obj["n"]
     _require(is_integer(n) and n >= 1, "circuit.n", "must be a positive integer")
-    _require(isinstance(obj["input"], list), "circuit.input", "must be a list")
-    _require(isinstance(obj["channels"], list), "circuit.channels", "must be a list")
-    _require(isinstance(obj["observable"], list), "circuit.observable", "must be a list")
+    for key in ("input", "channels", "observable"):
+        _require(isinstance(obj[key], list), f"circuit.{key}", "must be a list")
     inp = [parse_factor(f, f"input[{i}]", n) for i, f in enumerate(obj["input"])]
     obs = [parse_factor(f, f"observable[{i}]", n) for i, f in enumerate(obj["observable"])]
     apps = [parse_channel(c, f"channels[{i}]", n) for i, c in enumerate(obj["channels"])]
-    try:
-        return Circuit(n, FactoredState(n, tuple(inp)), tuple(apps),
-                       FactoredState(n, tuple(obs)))
-    except ValueError as e:
-        raise SpecValidationError(f"circuit: {e}") from None
+    with _at("input"):
+        rho = FactoredState(n, tuple(inp))
+        rho.validate_state()
+    with _at("observable"):
+        observable = FactoredState(n, tuple(obs))
+    with _at("channels"):
+        return Circuit(n, rho, tuple(apps), observable)
 
 
 def load_json(path: str):
@@ -251,10 +255,8 @@ def parse_instance(obj) -> E3Lin2Instance:
         parsed.append(tuple(eq))
     m = obj.get("m", len(parsed))
     _require(is_integer(m) and m == len(parsed), "instance.m", "does not match the equation count")
-    try:
+    with _at("instance.equations"):
         return E3Lin2Instance(n, len(parsed), tuple(parsed))
-    except ValueError as e:
-        raise SpecValidationError(f"instance: {e}") from None
 
 
 def load_instance(path: str) -> E3Lin2Instance:

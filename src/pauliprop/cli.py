@@ -34,7 +34,7 @@ from .circuit_io import (
 from .exact import OracleTooLargeError, run_exact
 from .fanout import block_rng, check_count, map_blocks
 from .operators import DenseOperator, pauli_matrix
-from .propagation import BoundOverflowError, estimate, plan_samples
+from .propagation import DIRECTIONS, BoundOverflowError, estimate, plan_samples
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -88,8 +88,7 @@ def _estimates(args, circuit) -> dict:
     """{direction: EstimateReport} for each direction of --direction, at
     --samples or at the count planned for --epsilon. Every count is checked
     against MAX_SAMPLES before any sampling."""
-    directions = ["schrodinger", "heisenberg"] if args.direction == "both" \
-        else [args.direction]
+    directions = DIRECTIONS if args.direction == "both" else [args.direction]
     counts = {d: _budget(args.samples if args.epsilon is None else
                          plan_samples(circuit, d, args.epsilon, args.delta))
               for d in directions}
@@ -343,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
              "compare estimates with the exact oracle (n <= 8)")):
         p = add(name, fn, help)
         p.add_argument("--circuit", required=True, help="circuit JSON path")
-        p.add_argument("--direction", choices=["schrodinger", "heisenberg", "both"],
+        p.add_argument("--direction", choices=[*DIRECTIONS, "both"],
                        default=direction)
         _add_sampling(p)
         _add_common(p)

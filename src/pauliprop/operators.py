@@ -115,6 +115,16 @@ class DenseOperator:
 # ---------------------------------------------------------------------------
 # tensor-factored operators
 
+class EntryError(ValueError):
+    """A ValueError about one entry of a sequence argument. The message names
+    the entry; index and reason keep it apart, so a caller can name the
+    entry at its own path instead."""
+
+    def __init__(self, entry: str, index: int, reason: str):
+        super().__init__(f"{entry} {index}: {reason}")
+        self.index, self.reason = index, reason
+
+
 @dataclass(frozen=True)
 class FactoredState:
     """Tensor product over disjoint qubit subsets covering [0, n).
@@ -128,14 +138,14 @@ class FactoredState:
 
     def __post_init__(self):
         seen = set()
-        for qubits, op in self.factors:
+        for i, (qubits, op) in enumerate(self.factors):
             if len(qubits) != op.k:
-                raise ValueError(f"factor on {qubits} has mismatched operator size {op.k}")
+                raise EntryError("factor", i, f"operator size {op.k} mismatched with {qubits}")
             for q in qubits:
                 if q < 0 or q >= self.n:
-                    raise ValueError(f"qubit {q} out of range for n={self.n}")
+                    raise EntryError("factor", i, f"qubit {q} out of range for n={self.n}")
                 if q in seen:
-                    raise ValueError(f"qubit {q} appears in two factors")
+                    raise EntryError("factor", i, f"qubit {q} appears in two factors")
                 seen.add(q)
         if len(seen) != self.n:
             raise ValueError("factors do not cover the register")
@@ -146,9 +156,9 @@ class FactoredState:
         return cls(len(ops), tuple(((q,), op) for q, op in enumerate(ops)))
 
     def validate_state(self):
-        for qubits, op in self.factors:
+        for i, (qubits, op) in enumerate(self.factors):
             if not op.is_state:
-                raise ValueError(f"factor on qubits {qubits} is not a valid state")
+                raise EntryError("factor", i, f"operator on {qubits} is not a valid state")
 
 
 def stabilizer_norm_factored(s: FactoredState) -> float:

@@ -396,14 +396,13 @@ def _cached_step(owner, key, r: np.ndarray, qubits) -> _Step:
 
 def _compile_start(state: FactoredState) -> tuple:
     """(const, const_coeff, steps): the factors with one output fold into the
-    start words const and const_coeff; the others are one-column steps."""
+    start words const and const_coeff (0 for an all-zero factor); the others
+    are one-column steps."""
     const = [0] * -(-state.n // _WORD_QUBITS)
     const_coeff = 1.0
     random_factors = []
     for qubits, op in state.factors:
         step = _cached_step(op, "start", op.trace_table[:, None] / 2**op.k, qubits)
-        if not step.mult.any():
-            raise ValueError(f"zero operator on qubits {qubits} (D = 0)")
         if step.m == 1:
             for word, delta in step.flips:
                 const[word] |= int(delta[0])

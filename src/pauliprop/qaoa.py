@@ -35,7 +35,7 @@ import numpy as np
 
 from .channels import ChannelApplication, make_unitary_ptm
 from .fanout import check_count, check_seed, fan_out, map_blocks
-from .operators import DenseOperator, FactoredState, plus_state
+from .operators import DenseOperator, EntryError, FactoredState, plus_state
 from .propagation import Circuit, _check_delta, estimate
 
 GENERATION_RESTARTS = 50
@@ -65,16 +65,16 @@ class E3Lin2Instance:
             raise ValueError("m must equal the number of equations and be >= 1")
         degrees = [0] * self.n
         seen = set()
-        for eq in self.equations:
+        for j, eq in enumerate(self.equations):
             if len(eq) != 4:
-                raise ValueError(f"equation {eq} is not (a, b, c, d)")
+                raise EntryError("equation", j, f"{eq} is not (a, b, c, d)")
             a, b, c, d = eq
             if not (0 <= a < b < c < self.n):
-                raise ValueError(f"equation qubits {(a, b, c)} not sorted in range")
+                raise EntryError("equation", j, f"qubits {(a, b, c)} not sorted in range")
             if d not in (0, 1):
-                raise ValueError(f"equation parity {d} not a bit")
+                raise EntryError("equation", j, f"parity {d} not a bit")
             if (a, b, c) in seen:
-                raise ValueError(f"duplicate equation triple {(a, b, c)}")
+                raise EntryError("equation", j, f"duplicate triple {(a, b, c)}")
             seen.add((a, b, c))
             for q in (a, b, c):
                 degrees[q] += 1

@@ -150,11 +150,34 @@ def test_non_finite_or_boolean_number_is_exit_3(tmp_path, capsys, where, value, 
     ({"n": 3, "equations": [[0, 1, 2, True]]}, "instance.equations[0]"),
     ({"n": 3, "equations": [[0, 1, NAN, 0]]}, "instance.equations[0]"),
     ({"n": 3, "m": True, "equations": [[0, 1, 2, 0]]}, "instance.m"),
+    # rules E3Lin2Instance enforces, named at the equation it rejects
+    ({"n": 4, "equations": [[0, 1, 2, 3]]}, "instance.equations[0]"),
+    ({"n": 4, "equations": [[2, 1, 0, 0]]}, "instance.equations[0]"),
+    ({"n": 4, "equations": [[0, 1, 2, 0], [0, 1, 2, 1]]}, "instance.equations[1]"),
 ])
 def test_non_integer_instance_entry_is_exit_3(tmp_path, capsys, obj, named):
     path = write_circuit(tmp_path, obj, "inst.json")
     code = cli.main(["qaoa", "--instance", path, "--gamma", "0.1", "--samples", "10",
                      "--seed", "0"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["message"].startswith(named + ":")
+
+
+@pytest.mark.parametrize("key,factors,named", [
+    ("input", [{"state": "plus", "qubits": [0]}], "input"),
+    ("observable", [{"pauli": "Z", "qubits": [0]}], "observable"),
+    ("observable", [{"pauli": "II", "qubits": [0, 1]}, {"pauli": "Z", "qubits": [1]}],
+     "observable[1]"),
+    ("input", [{"matrix": [[1, 0], [0, -1]], "qubits": [0]}, {"state": "zero", "qubits": [1]}],
+     "input[0]"),
+])
+def test_factored_state_error_names_the_path(tmp_path, capsys, key, factors, named):
+    # register coverage, overlap and "is a state" are FactoredState's rules
+    obj = circuit_obj()
+    obj[key] = factors
+    code = cli.main(["estimate", "--circuit", write_circuit(tmp_path, obj),
+                     "--samples", "10", "--seed", "0"])
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["message"].startswith(named + ":")

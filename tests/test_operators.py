@@ -13,7 +13,8 @@ from pauliprop.operators import (
     pauli_matrix,
     stabilizer_norm_factored,
 )
-from pauliprop.propagation import Circuit, estimate
+from pauliprop.exact import run_exact
+from pauliprop.propagation import DIRECTIONS, Circuit, estimate
 
 from dense import embed_operator
 
@@ -120,12 +121,14 @@ def test_sampler_distribution_and_mean():
             assert abs(rep.mean / 2**k - coeffs[i]) < 4 / math.sqrt(n), (k, i)
 
 
-def test_sample_zero_operator_raises():
-    # a backward walk starts by sampling the observable
+def test_zero_observable_factor_is_exactly_zero():
+    # a backward walk starts by sampling the observable; D = 0 folds into 0
     zero = FactoredState.of_qubit_states([DenseOperator(np.zeros((2, 2)))])
     circ = Circuit(1, FactoredState.of_qubit_states([ops.zero_state()]), (), zero)
-    with pytest.raises(ValueError, match="zero operator"):
-        estimate(circ, "heisenberg", 10)
+    assert run_exact(circ) == 0.0
+    for direction in DIRECTIONS:
+        rep = estimate(circ, direction, 10)
+        assert (rep.mean, rep.epsilon, rep.sample_std) == (0.0, 0.0, 0.0), direction
 
 
 def test_factored_state_validation():
